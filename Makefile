@@ -55,7 +55,7 @@ bench-gate:
 
 # Load-harness smoke — what the CI load-smoke job runs: spawn a
 # daemon, run every contention profile with client kills, wire chaos
-# and one SIGKILL+WAL-recovery cycle, plus the contract workload
+# and one SIGKILL+store-recovery cycle, plus the contract workload
 # suite. Exits non-zero on any error outside the taxonomy or a failed
 # recovery.
 load-smoke:
@@ -85,7 +85,7 @@ cluster-smoke:
 	cat cluster-smoke.txt
 
 # Store smoke — what the CI store-smoke job runs: a race-enabled e2e
-# running tinyevm-serve on the disk backend (-data-dir, memtable
+# running tinyevm-serve on the disk store (-data-dir, memtable
 # shrunk to force segment flushes and compactions) with checkpoints
 # and the MST state commitment, SIGKILLed mid-compaction-churn and
 # restarted; the recovered head hash and state root must be

@@ -23,6 +23,7 @@ import (
 	"tinyevm/internal/chain"
 	"tinyevm/internal/cluster"
 	"tinyevm/internal/consensus"
+	"tinyevm/internal/core"
 	"tinyevm/internal/corpus"
 	"tinyevm/internal/device"
 	"tinyevm/internal/engine"
@@ -166,7 +167,7 @@ func BenchmarkAblationWordWidth(b *testing.B) {
 // BenchmarkEVMTransferCall measures the raw interpreter on a minimal
 // value-return contract (host-side performance of the VM itself).
 func BenchmarkEVMTransferCall(b *testing.B) {
-	sys, node, err := tinyevm.NewSystem(tinyevm.DefaultConfig(), "bench")
+	sys, node, err := core.NewSystem(core.DefaultConfig(), "bench")
 	if err != nil {
 		b.Fatal(err)
 	}

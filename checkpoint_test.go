@@ -164,15 +164,13 @@ func TestCheckpointMatchesFullReplay(t *testing.T) {
 
 // TestCheckpointDiskBackendRoundTrip runs the checkpointed round-trip
 // on the disk backend (memtable + segments + compaction) end to end
-// through WithDataDir/WithStoreBackend — the exact configuration the
-// serve daemon uses with -backend disk.
+// through WithDataDir — the configuration the serve daemon uses with
+// -data-dir.
 func TestCheckpointDiskBackendRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	opts := recoveryOpts(
 		tinyevm.WithDataDir(dir),
-		tinyevm.WithStoreBackend("disk"),
 		tinyevm.WithCheckpointInterval(2),
-		tinyevm.WithMSTCommitment(true),
 	)
 	svc, lot, err := tinyevm.NewService("lot", opts...)
 	if err != nil {

@@ -65,7 +65,7 @@ type ClusterConfig struct {
 	// liveness fallback).
 	FallbackAfter time.Duration
 	// StrictDigests requires applied blocks to reproduce the proposer's
-	// gas usage and post-state digest exactly. Enable only when every
+	// gas usage and post-state commitment exactly. Enable only when every
 	// node is configured with identical funding.
 	StrictDigests bool
 	// Transport overrides the wire transport (tests pass an in-process
@@ -178,10 +178,9 @@ type NodeStatus struct {
 	PipelineDepth int
 
 	// StoreKind names the durable store backend ("" without a store);
-	// Segments and Compactions are its disk-backend vitals; and
+	// Segments and Compactions are its disk-store vitals; and
 	// CheckpointHeight is the height of the latest state checkpoint
-	// (checkpoint.go). StateRoot is the MST state root hash under
-	// WithMSTCommitment (zero in legacy digest mode).
+	// (checkpoint.go). StateRoot is the MST state root hash.
 	StoreKind        string
 	Segments         int
 	Compactions      uint64
@@ -222,9 +221,7 @@ func (s *Service) NodeStatus(ctx context.Context) (NodeStatus, error) {
 			}
 			st.CheckpointHeight = s.lastCkptHeight
 		}
-		if root, err := s.sys.Chain.StateRoot(); err == nil {
-			st.StateRoot = root.Hash
-		}
+		st.StateRoot = s.sys.Chain.StateRoot().Hash
 		return nil
 	})
 	return st, err

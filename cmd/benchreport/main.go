@@ -39,9 +39,11 @@ import (
 // table, journaled snapshots), the table-2 corpus deployment
 // throughput, cluster block replication over the in-process transport,
 // the sharded-service payment throughput over the in-process batch-RPC
-// gateway (10k concurrent channels), and cold-start recovery replay
-// (full vs checkpointed, recovery_ms).
-const defaultBench = "^(BenchmarkEngineMineBlock|BenchmarkEVMTransferCall|BenchmarkInterpreterThroughput|BenchmarkSnapshotRevert|BenchmarkTableII_Fig3_Fig4_Deploy|BenchmarkClusterGossipThroughput|BenchmarkShardedServiceThroughput|BenchmarkRecoveryReplay)$"
+// gateway (10k concurrent channels), cold-start recovery replay (full
+// vs checkpointed, recovery_ms), and the heap retained per payment and
+// per channel lifecycle (retained-B/pay, retained-B/lifecycle,
+// ckpt-B/lifecycle; reported, not gated).
+const defaultBench = "^(BenchmarkEngineMineBlock|BenchmarkEVMTransferCall|BenchmarkInterpreterThroughput|BenchmarkSnapshotRevert|BenchmarkTableII_Fig3_Fig4_Deploy|BenchmarkClusterGossipThroughput|BenchmarkShardedServiceThroughput|BenchmarkRecoveryReplay|BenchmarkRetainedPerOp)$"
 
 // gatedBench selects the benchmarks the regression gate enforces: the
 // engine and interpreter hot paths, including the journaled

@@ -40,7 +40,7 @@ import (
 
 	"tinyevm"
 	"tinyevm/internal/rpc"
-	"tinyevm/internal/store"
+	"tinyevm/internal/store/disk"
 )
 
 func main() {
@@ -51,10 +51,8 @@ func main() {
 		workers   = flag.Int("engine-workers", 0, "parallel-engine workers for block production (0 = serial)")
 		lossRate  = flag.Float64("radio-loss", 0, "per-frame radio loss probability")
 		radioSeed = flag.Int64("radio-seed", 1, "radio loss process seed")
-		dataDir   = flag.String("data-dir", "", "persist the deployment to a write-ahead log in this directory; on restart the previous state (nodes, channels, balances, blocks) is recovered (cluster mode persists the block archive here instead)")
-		backend   = flag.String("backend", "wal", "storage engine under -data-dir: wal (single rewritten log file) or disk (memtable + sorted segments with background compaction)")
+		dataDir   = flag.String("data-dir", "", "persist the deployment to the disk store at <dir>/store; on restart the previous state (nodes, channels, balances, blocks) is recovered (cluster mode persists the block archive at <dir>/cluster instead)")
 		ckptEvery = flag.Uint64("checkpoint-interval", 64, "write a full state checkpoint every N sealed blocks and prune the folded-in op log, bounding restart time (0 disables; forced off with -radio-loss or cluster mode)")
-		stateMode = flag.String("state-commitment", "digest", "per-block state commitment: digest (legacy full-state hash) or mst (incremental Merkle-sum tree enabling tinyevm_stateProof); a -data-dir store is pinned to the mode that created it")
 
 		// Cluster mode: N daemons form one sidechain (see docs/CLUSTER.md).
 		listen        = flag.String("listen", "", "cluster p2p listen address (enables cluster mode together with -node-key/-validators)")
@@ -63,7 +61,7 @@ func main() {
 		validators    = flag.String("validators", "", "comma-separated validator seeds of the full set, in schedule order (identical on every daemon)")
 		blockInterval = flag.Duration("block-interval", time.Second, "heartbeat block production interval for the scheduled leader (cluster mode)")
 		fallback      = flag.Duration("fallback", 10*time.Second, "let the next validator take an overdue round after this long (0 = strict single leader)")
-		strictDigests = flag.Bool("strict-digests", false, "require applied blocks to reproduce the proposer's gas usage and state digest exactly")
+		strictDigests = flag.Bool("strict-digests", false, "require applied blocks to reproduce the proposer's gas usage and state commitment exactly")
 	)
 	flag.Parse()
 
@@ -92,7 +90,7 @@ func main() {
 			},
 		}
 		if *dataDir != "" {
-			kv, err := store.OpenWAL(filepath.Join(*dataDir, "cluster.wal"))
+			kv, err := disk.Open(filepath.Join(*dataDir, "cluster"))
 			if err != nil {
 				fatal(err)
 			}
@@ -105,17 +103,9 @@ func main() {
 		if *dataDir != "" {
 			opts = append(opts,
 				tinyevm.WithDataDir(*dataDir),
-				tinyevm.WithStoreBackend(*backend),
 				tinyevm.WithCheckpointInterval(*ckptEvery),
 			)
 		}
-	}
-	switch *stateMode {
-	case "digest":
-	case "mst":
-		opts = append(opts, tinyevm.WithMSTCommitment(true))
-	default:
-		fatal(fmt.Errorf("unknown -state-commitment %q (want digest or mst)", *stateMode))
 	}
 	svc, prov, err := tinyevm.NewService(*provider, opts...)
 	if err != nil {

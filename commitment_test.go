@@ -1,16 +1,18 @@
 package tinyevm_test
 
-// MST state-commitment tests: under WithMSTCommitment the chain seals
-// blocks with an incrementally maintained Merkle-sum-tree root instead
-// of the O(n) full-state digest. The differential test pins that the
-// knob changes ONLY the persisted commitment — block hashes, state
-// digests, balances and channel fingerprints are identical over an
-// identical workload, on the serial and the parallel engine alike —
-// and the proof tests pin the light-client verification path end to
+// MST state-commitment tests: the chain seals blocks with an
+// incrementally maintained Merkle-sum-tree root. The differential test
+// pins that the serial and the parallel engine reach the same
+// commitment over an identical workload, the rebuild test pins the
+// incremental path against a from-scratch rebuild, the pinning test
+// pins the refusal of stores sealed with the retired full-state digest,
+// and the proof test pins the light-client verification path end to
 // end, including tamper rejection.
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
 
 	"tinyevm"
@@ -19,24 +21,28 @@ import (
 )
 
 // TestMSTCommitmentDifferential feeds the identical deterministic
-// workload to a legacy-digest service and an MST-committed one (serial
-// and parallel engine): every externally observable byte must agree.
-// The commitment mode must never change what the chain computes.
+// workload to a serial and a parallel-engine service: every externally
+// observable byte, the state commitment included, must agree.
 func TestMSTCommitmentDifferential(t *testing.T) {
-	run := func(opts ...tinyevm.Option) deploymentState {
+	run := func(opts ...tinyevm.Option) (deploymentState, tinyevm.StateCommitment) {
 		svc, hub, err := tinyevm.NewService("hub", opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer svc.Close()
 		shardDifferentialWorkload(t, svc, hub)
-		return captureState(t, svc)
+		sc, err := svc.StateCommitment(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return captureState(t, svc), sc
 	}
-	digest := run()
-	mst := run(tinyevm.WithMSTCommitment(true))
-	assertSameDeployment(t, digest, mst)
-	mstParallel := run(tinyevm.WithMSTCommitment(true), tinyevm.WithEngineWorkers(4))
-	assertSameDeployment(t, digest, mstParallel)
+	serial, serialSC := run()
+	parallel, parallelSC := run(tinyevm.WithEngineWorkers(4))
+	assertSameDeployment(t, serial, parallel)
+	if serialSC != parallelSC {
+		t.Fatalf("state commitment diverged across engines:\n serial   %+v\n parallel %+v", serialSC, parallelSC)
+	}
 }
 
 // TestMSTCommitmentIncrementalMatchesRebuilt pins the incremental
@@ -48,7 +54,6 @@ func TestMSTCommitmentIncrementalMatchesRebuilt(t *testing.T) {
 	kv := store.NewMem()
 	opts := recoveryOpts(
 		tinyevm.WithStore(kv),
-		tinyevm.WithMSTCommitment(true),
 		tinyevm.WithCheckpointInterval(2),
 	)
 	svc, hub, err := tinyevm.NewService("hub", opts...)
@@ -80,31 +85,50 @@ func TestMSTCommitmentIncrementalMatchesRebuilt(t *testing.T) {
 	}
 }
 
-// TestMSTCommitmentModePinned pins the store meta guard: a journal
-// created under one commitment mode refuses to replay under the other
-// (the persisted per-block commitments would not verify).
+// TestMSTCommitmentModePinned pins the store meta guard: a store whose
+// meta pins the retired full-state digest commitment (stateCommitment
+// "" or absent, as the digest mode wrote it) is refused with
+// ErrLegacyStore naming the migration — its persisted per-block
+// commitments would not verify — and nothing is written to it.
 func TestMSTCommitmentModePinned(t *testing.T) {
+	for _, meta := range []string{
+		`{"provider":"hub","challengePeriod":6,"radioSeed":0,"radioLossRate":0}`,
+		`{"provider":"hub","challengePeriod":6,"radioSeed":0,"radioLossRate":0,"stateCommitment":""}`,
+	} {
+		kv := store.NewMem()
+		if err := kv.Put([]byte("meta/service"), []byte(meta)); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := tinyevm.NewService("hub", recoveryOpts(tinyevm.WithStore(kv))...)
+		if !errors.Is(err, tinyevm.ErrLegacyStore) {
+			t.Fatalf("digest-pinned store %s: err = %v, want ErrLegacyStore", meta, err)
+		}
+		if !strings.Contains(err.Error(), "Migrating old data dirs") {
+			t.Fatalf("refusal does not name the migration: %v", err)
+		}
+		keys := 0
+		kv.Iterate(nil, func(_, _ []byte) error { keys++; return nil })
+		if keys != 1 {
+			t.Fatalf("refused store was written to: %d keys", keys)
+		}
+	}
+
+	// A store this version creates pins the MST commitment and reopens.
 	kv := store.NewMem()
-	svc, _, err := tinyevm.NewService("hub",
-		recoveryOpts(tinyevm.WithStore(kv), tinyevm.WithMSTCommitment(true))...)
+	svc, _, err := tinyevm.NewService("hub", recoveryOpts(tinyevm.WithStore(kv))...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	svc.Close()
-	if _, _, err := tinyevm.NewService("hub", recoveryOpts(tinyevm.WithStore(kv))...); err == nil {
-		t.Fatal("MST-mode store accepted under digest mode")
+	meta, _, _ := kv.Get([]byte("meta/service"))
+	if !strings.Contains(string(meta), `"stateCommitment":"mst"`) {
+		t.Fatalf("new store meta does not pin the MST commitment: %s", meta)
 	}
-
-	kv2 := store.NewMem()
-	svc2, _, err := tinyevm.NewService("hub", recoveryOpts(tinyevm.WithStore(kv2))...)
+	svc, _, err = tinyevm.NewService("hub", recoveryOpts(tinyevm.WithStore(kv))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc2.Close()
-	if _, _, err := tinyevm.NewService("hub",
-		recoveryOpts(tinyevm.WithStore(kv2), tinyevm.WithMSTCommitment(true))...); err == nil {
-		t.Fatal("digest-mode store accepted under MST mode")
-	}
+	svc.Close()
 }
 
 // TestStateProofVerifies walks the light-client path: request a proof,
@@ -112,7 +136,7 @@ func TestMSTCommitmentModePinned(t *testing.T) {
 // side (chain.VerifyAccountRecord), and reject tampered variants of
 // each component.
 func TestStateProofVerifies(t *testing.T) {
-	svc, hub, err := tinyevm.NewService("hub", tinyevm.WithMSTCommitment(true))
+	svc, hub, err := tinyevm.NewService("hub")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,17 +183,5 @@ func TestStateProofVerifies(t *testing.T) {
 	// Proofs for absent accounts fail loudly.
 	if _, err := svc.StateProof(ctx, tinyevm.Address{0xde, 0xad}); err == nil {
 		t.Fatal("proof produced for a nonexistent account")
-	}
-	// And the whole surface is a clean error under the legacy digest.
-	legacy, _, err := tinyevm.NewService("hub")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer legacy.Close()
-	if _, err := legacy.StateProof(ctx, hub.Address()); err == nil {
-		t.Fatal("digest-mode service produced a state proof")
-	}
-	if _, err := legacy.StateCommitment(ctx); err == nil {
-		t.Fatal("digest-mode service produced a state root")
 	}
 }

@@ -194,10 +194,11 @@ type Chain struct {
 	// disableFusion turns tier-1 superinstruction execution off for
 	// every EVM this chain builds (see SetFusion).
 	disableFusion bool
-	// commitMST and smt implement the incremental MST state commitment
-	// (see commit.go); smt is non-nil iff commitMST is set.
-	commitMST bool
+	// smt is the incremental MST state commitment (see commit.go);
+	// sealDelta is the dirty-account set the latest seal folded into it,
+	// which persistSeal writes as that block's account delta.
 	smt       *mst.Map
+	sealDelta []types.Address
 }
 
 // New creates a chain with a genesis block.
@@ -208,7 +209,9 @@ func New() *Chain {
 		coinbase:    types.MustHexToAddress("0xc0ffee00000000000000000000000000c0ffee00"),
 		natives:     make(map[types.Address]NativeContract),
 		genesisTime: 1_600_000_000,
+		smt:         mst.NewMap(),
 	}
+	c.state.EnableDirtyTracking()
 	genesis := &Block{
 		Number:    0,
 		Timestamp: c.genesisTime,
@@ -326,7 +329,9 @@ func (c *Chain) NextBlockTemplate() *Block {
 
 // SealBlock finalizes a template produced by NextBlockTemplate: it
 // accumulates gas and transaction hashes from the receipts (in order),
-// records the receipts, hashes the block and appends it to the chain.
+// records the receipts, hashes the block, appends it to the chain and
+// folds the accounts mutated since the previous seal into the state
+// commitment before any seal hook runs.
 func (c *Chain) SealBlock(block *Block, receipts []*Receipt) {
 	for _, r := range receipts {
 		block.GasUsed += r.GasUsed
@@ -335,6 +340,8 @@ func (c *Chain) SealBlock(block *Block, receipts []*Receipt) {
 	}
 	block.Hash = blockHash(block)
 	c.blocks = append(c.blocks, block)
+	c.sealDelta = c.state.TakeDirty()
+	c.applyCommitmentDelta(c.sealDelta)
 	for _, hook := range c.sealHooks {
 		hook(block, receipts)
 	}

@@ -1,14 +1,14 @@
 // Authenticated incremental state commitment (ICDCS paper §IV-E made
 // chain-wide): instead of re-hashing the entire state on every seal
-// (MemState.Digest, O(n) accounts), the chain can maintain the account
-// set in an internal/mst incremental Merkle map and update the root in
+// (MemState.Digest, O(n) accounts), the chain maintains the account
+// set in an internal/mst incremental Merkle map and updates the root in
 // O(log n) hashes per touched account.
 //
 // Each account's leaf is keyed by its 20-byte address; the leaf value
 // is MemState.AccountDigest — the keccak of the exact per-account byte
 // layout Digest hashes — and the leaf sum is the balance's low 64 bits
 // (wrapping; a consistency signal, not an audited total). The block's
-// persisted state commitment becomes
+// persisted state commitment is
 //
 //	H("tinyevm-mst-commit" | rootHash | rootSum u64 BE)
 //
@@ -18,10 +18,9 @@
 // the root into the commitment and compare against the block header's
 // state commitment.
 //
-// The commitment mode is a config knob (Service option / serve flag);
-// the legacy full-state Digest stays the default and a differential
-// test pins that both modes see identical chains (block hashes do not
-// cover the state commitment) over identical workloads.
+// SealBlock folds each block's dirty-account delta into the map before
+// any seal hook runs, so persistence and cluster gossip read the
+// commitment of the block they are handling.
 
 package chain
 
@@ -29,7 +28,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 
 	"tinyevm/internal/evm"
@@ -38,39 +36,11 @@ import (
 	"tinyevm/internal/types"
 )
 
-// ErrNoMSTCommitment is returned by proof queries when the chain runs
-// the legacy digest commitment.
-var ErrNoMSTCommitment = errors.New("chain: MST state commitment not enabled")
-
 // commitTag domain-separates the MST commitment from every other hash.
 var commitTag = []byte("tinyevm-mst-commit")
 
-// EnableMSTCommitment switches the chain's per-block state commitment
-// from the legacy full-state digest to the incremental MST root,
-// seeding the map from the current state. Enable it before attaching a
-// store (the first persisted seal must already be in MST mode); the
-// knob is sticky for the chain's lifetime.
-func (c *Chain) EnableMSTCommitment() {
-	c.commitMST = true
-	c.rebuildCommitment()
-	// Keep the map in lockstep with seals even when no store attaches:
-	// track mutated accounts and fold each seal's delta in. With a store
-	// attached, persistSeal drains the dirty set first and does the fold
-	// itself, so this hook sees an attached kv and stands down.
-	c.state.EnableDirtyTracking()
-	c.OnSeal(func(*Block, []*Receipt) {
-		if c.kv != nil {
-			return
-		}
-		c.applyCommitmentDelta(c.state.TakeDirty())
-	})
-}
-
-// MSTCommitment reports whether the MST commitment is enabled.
-func (c *Chain) MSTCommitment() bool { return c.commitMST }
-
 // rebuildCommitment reconstructs the incremental map from the full
-// current state — used at enable time and after a checkpoint restore.
+// current state — used after a full or checkpoint restore.
 // The rebuilt root is bit-identical to one maintained incrementally
 // (the map's shape is a pure function of the key set).
 func (c *Chain) rebuildCommitment() {
@@ -92,8 +62,8 @@ func (c *Chain) updateCommitmentAccount(addr types.Address) {
 }
 
 // applyCommitmentDelta folds a sealed block's dirty account set into
-// the map — the O(log n)-per-account path persistSeal runs instead of
-// the O(n) Digest rehash.
+// the map — the O(log n)-per-account path SealBlock runs instead of an
+// O(n) Digest rehash.
 func (c *Chain) applyCommitmentDelta(dirty []types.Address) {
 	for _, addr := range dirty {
 		c.updateCommitmentAccount(addr)
@@ -112,24 +82,15 @@ func commitmentDigest(root mst.Root) types.Hash {
 	return types.HashConcat(commitTag, root.Hash[:], sum[:])
 }
 
-// stateCommitment returns the digest persistSeal stamps into the block
-// record: the MST commitment when enabled, the legacy full-state
-// digest otherwise.
-func (c *Chain) stateCommitment() types.Hash {
-	if c.commitMST {
-		return commitmentDigest(c.smt.Root())
-	}
-	return c.state.Digest()
+// StateCommitment returns the state commitment of the latest seal: the
+// MST root folded by commitmentDigest. It is what persistSeal stamps
+// into the block record and what cluster proposers gossip with a block.
+func (c *Chain) StateCommitment() types.Hash {
+	return commitmentDigest(c.smt.Root())
 }
 
-// StateRoot returns the current MST root. It fails with
-// ErrNoMSTCommitment under the legacy digest mode.
-func (c *Chain) StateRoot() (mst.Root, error) {
-	if !c.commitMST {
-		return mst.Root{}, ErrNoMSTCommitment
-	}
-	return c.smt.Root(), nil
-}
+// StateRoot returns the MST root as of the latest seal.
+func (c *Chain) StateRoot() mst.Root { return c.smt.Root() }
 
 // AccountProof is a light-client-verifiable statement that one account
 // is committed under a block's state commitment.
@@ -158,9 +119,6 @@ type AccountProof struct {
 // StateProof builds a membership proof for addr against the current
 // head state. The account must observationally exist.
 func (c *Chain) StateProof(addr types.Address) (*AccountProof, error) {
-	if !c.commitMST {
-		return nil, ErrNoMSTCommitment
-	}
 	d, ok := c.state.AccountDigest(addr)
 	if !ok {
 		return nil, fmt.Errorf("chain: no account %s to prove", addr.Hex())

@@ -5,7 +5,8 @@
 // Keyspace (within whatever namespace the caller hands AttachStore):
 //
 //	meta/head            -> headRecord     (latest sealed block)
-//	block/<num %016x>    -> blockRecord    (header, receipts, state digest)
+//	block/<num %016x>    -> blockRecord    (header, receipts, state
+//	                                        commitment)
 //	acct/<addr hex>      -> acctRecord     (full account value; deleted
 //	                                        when the account dies)
 //
@@ -17,7 +18,8 @@
 // When a seal finds its block number already persisted (a service-level
 // op-log replay re-executing history), the freshly produced record is
 // compared byte-for-byte against the stored one instead of rewritten;
-// any divergence — a different block hash, receipt set or state digest —
+// any divergence — a different block hash, receipt set or state
+// commitment —
 // marks the store corrupt (StoreErr) rather than silently overwriting
 // history.
 //
@@ -60,9 +62,10 @@ type headRecord struct {
 }
 
 // blockRecord is one persisted sealed block: the header, its receipts
-// and the state digest observed immediately after sealing. The digest
-// is what makes crash recovery verifiable: a restore (or an op-log
-// replay) that does not reproduce it byte-identically fails loudly.
+// and the MST state commitment (commit.go) observed immediately after
+// sealing. The commitment is what makes crash recovery verifiable: a
+// restore (or an op-log replay) that does not reproduce it
+// byte-identically fails loudly.
 type blockRecord struct {
 	Number      uint64          `json:"number"`
 	ParentHash  string          `json:"parent_hash"`
@@ -101,10 +104,10 @@ type acctRecord struct {
 	Storage map[string]string `json:"storage,omitempty"`
 }
 
-// AttachStore wires a persistence store into the chain: the state
-// starts tracking mutated accounts and every sealed block commits one
-// atomic batch (block record, head pointer, account delta). Attach a
-// store before producing blocks; attaching twice is an error.
+// AttachStore wires a persistence store into the chain: every sealed
+// block commits one atomic batch (block record, head pointer, and the
+// account delta SealBlock drained). Attach a store before producing
+// blocks; attaching twice is an error.
 //
 // Persistence failures are latched into StoreErr — block production
 // itself never fails, but a durable deployment must check StoreErr
@@ -114,7 +117,6 @@ func (c *Chain) AttachStore(kv store.KVStore) error {
 		return errors.New("chain: store already attached")
 	}
 	c.kv = kv
-	c.state.EnableDirtyTracking()
 	c.OnSeal(c.persistSeal)
 	return nil
 }
@@ -179,15 +181,7 @@ func (c *Chain) persistSeal(b *Block, receipts []*Receipt) {
 	if c.StoreErr() != nil {
 		return
 	}
-	// Drain the dirty delta exactly once, up front: the MST commitment
-	// must fold this seal's delta in before the commitment is computed,
-	// and it must do so on the replay-verify path too (replay keeps the
-	// incremental root in lockstep with the blocks it re-seals).
-	dirty := c.state.TakeDirty()
-	if c.commitMST {
-		c.applyCommitmentDelta(dirty)
-	}
-	rec, err := json.Marshal(encodeBlock(b, receipts, c.stateCommitment()))
+	rec, err := json.Marshal(encodeBlock(b, receipts, c.StateCommitment()))
 	if err != nil {
 		c.setStoreErr(err)
 		return
@@ -198,8 +192,7 @@ func (c *Chain) persistSeal(b *Block, receipts []*Receipt) {
 		return
 	} else if ok {
 		// Replay over an existing store: verify instead of rewrite. The
-		// delta is identical to what is already persisted, so it was
-		// only needed for the commitment update above.
+		// delta is identical to what is already persisted.
 		if !bytes.Equal(existing, rec) {
 			c.setStoreErr(fmt.Errorf("%w: block %d", ErrStoreMismatch, b.Number))
 		}
@@ -207,7 +200,7 @@ func (c *Chain) persistSeal(b *Block, receipts []*Receipt) {
 	}
 
 	batch := c.kv.Batch()
-	for _, addr := range dirty {
+	for _, addr := range c.sealDelta {
 		if !c.state.Exists(addr) {
 			batch.Delete(acctKey(addr))
 			continue
@@ -237,9 +230,9 @@ func (c *Chain) persistSeal(b *Block, receipts []*Receipt) {
 
 // NewFromStore restores a chain from a store previously written through
 // AttachStore: sealed blocks, receipts and the full EVM state come back
-// byte-identical (state digests are re-verified against the persisted
-// head block). The returned chain has the store attached and continues
-// persisting. An empty store yields a fresh chain.
+// byte-identical (the state commitment is re-verified against the
+// persisted head block). The returned chain has the store attached
+// and continues persisting. An empty store yields a fresh chain.
 //
 // Native contracts are not restored; re-install them before executing
 // transactions that target them.
@@ -327,16 +320,19 @@ func (c *Chain) restore(kv store.KVStore, head headRecord) error {
 	}); err != nil {
 		return err
 	}
+	// The restored accounts are already persisted: not a seal's delta.
+	c.state.ClearDirty()
 
-	// The restored state must digest exactly as it did when the head
+	// The restored state must commit exactly as it did when the head
 	// block was sealed.
+	c.rebuildCommitment()
 	if head.Number > 0 {
 		want, err := c.persistedCommitment(kv, head.Number)
 		if err != nil {
 			return err
 		}
-		if got := c.state.Digest().Hex(); got != want {
-			return fmt.Errorf("chain: restored state digest %s does not match persisted %s", got, want)
+		if got := c.StateCommitment().Hex(); got != want {
+			return fmt.Errorf("chain: restored state commitment %s does not match persisted %s", got, want)
 		}
 	}
 	return nil
@@ -351,9 +347,8 @@ func (c *Chain) restore(kv store.KVStore, head headRecord) error {
 // loudly, before any tail replay runs on top of it.
 //
 // It must run on a freshly attached chain (no blocks beyond genesis,
-// no replay yet). Under the MST commitment the incremental map is
-// rebuilt from the restored state, bit-identical to the map the
-// sealing run maintained.
+// no replay yet). The incremental MST is rebuilt from the restored
+// state, bit-identical to the map the sealing run maintained.
 func (c *Chain) RestoreCheckpoint(height uint64, apply func(st *evm.MemState) error) error {
 	if c.kv == nil {
 		return errors.New("chain: checkpoint restore needs an attached store")
@@ -369,15 +364,13 @@ func (c *Chain) RestoreCheckpoint(height uint64, apply func(st *evm.MemState) er
 	}
 	// The snapshot overwrite is not part of any seal's delta.
 	c.state.ClearDirty()
-	if c.commitMST {
-		c.rebuildCommitment()
-	}
+	c.rebuildCommitment()
 	if height > 0 {
 		want, err := c.persistedCommitment(c.kv, height)
 		if err != nil {
 			return err
 		}
-		if got := c.stateCommitment().Hex(); got != want {
+		if got := c.StateCommitment().Hex(); got != want {
 			return fmt.Errorf("chain: checkpoint state commitment %s does not match block %d's %s", got, height, want)
 		}
 	}
@@ -418,7 +411,7 @@ func RestoreState(st *evm.MemState, data []byte) error {
 
 // --- encoding ----------------------------------------------------------
 
-func encodeBlock(b *Block, receipts []*Receipt, digest types.Hash) *blockRecord {
+func encodeBlock(b *Block, receipts []*Receipt, commitment types.Hash) *blockRecord {
 	rec := &blockRecord{
 		Number:      b.Number,
 		ParentHash:  b.ParentHash.Hex(),
@@ -426,7 +419,7 @@ func encodeBlock(b *Block, receipts []*Receipt, digest types.Hash) *blockRecord 
 		Timestamp:   b.Timestamp,
 		Coinbase:    b.Coinbase.Hex(),
 		GasUsed:     b.GasUsed,
-		StateDigest: digest.Hex(),
+		StateDigest: commitment.Hex(),
 	}
 	for _, tx := range b.TxHashes {
 		rec.TxHashes = append(rec.TxHashes, tx.Hex())

@@ -7,6 +7,7 @@ import (
 
 	"tinyevm/internal/asm"
 	"tinyevm/internal/store"
+	"tinyevm/internal/store/disk"
 	"tinyevm/internal/types"
 )
 
@@ -121,31 +122,39 @@ func TestChainPersistRestore(t *testing.T) {
 	}
 }
 
-// TestChainPersistWAL runs the restore round-trip through the real WAL
-// backend, closing and reopening the file in between.
+// TestChainPersistWAL runs the restore round-trip through the disk
+// store, closing and reopening it in between: once with the blocks
+// still in its write-ahead log, once after a flush into a segment.
 func TestChainPersistWAL(t *testing.T) {
-	path := t.TempDir() + "/chain.wal"
-	w, err := store.OpenWAL(path, store.WithNoSync())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := buildPersistedChain(t, w)
-	wantHead, wantDigest := c.Head().Hash, c.State().Digest()
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, flush := range []bool{false, true} {
+		dir := t.TempDir()
+		db, err := disk.Open(dir, disk.WithNoSync())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := buildPersistedChain(t, db)
+		wantHead, wantDigest, wantCommit := c.Head().Hash, c.State().Digest(), c.StateCommitment()
+		if flush {
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	w2, err := store.OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
-	r, err := NewFromStore(w2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Head().Hash != wantHead || r.State().Digest() != wantDigest {
-		t.Fatal("WAL round-trip diverged")
+		db2, err := disk.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewFromStore(db2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Head().Hash != wantHead || r.State().Digest() != wantDigest || r.StateCommitment() != wantCommit {
+			t.Fatalf("disk round-trip diverged (flushed: %v)", flush)
+		}
+		db2.Close()
 	}
 }
 

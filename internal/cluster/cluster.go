@@ -11,7 +11,7 @@
 // parent + chain.BlockInterval), and transactions execute serially in
 // block order — so applying the same block list yields byte-identical
 // head hashes, and (when every sender is funded identically) identical
-// state digests, on every node.
+// MST state commitments, on every node.
 package cluster
 
 import (
@@ -42,7 +42,8 @@ var (
 	// head; it is parked and state sync is triggered.
 	ErrFutureBlock = errors.New("cluster: block ahead of local head")
 	// ErrDiverged marks a strict-mode replica whose execution of a
-	// verified block disagreed with the proposer (gas or state digest).
+	// verified block disagreed with the proposer (gas or state
+	// commitment).
 	// It is fatal for the node: continuing would fork silently.
 	ErrDiverged = errors.New("cluster: execution diverged from proposer")
 	// ErrClusterClosed is returned after Close.
@@ -77,7 +78,7 @@ type Config struct {
 	// scratch, which is exactly what the empty-data-dir path exercises).
 	Store store.KVStore
 	// StrictDigests enforces byte-identical execution: applied blocks
-	// must reproduce the proposer's GasUsed and post-state digest.
+	// must reproduce the proposer's GasUsed and post-state commitment.
 	// Requires identical genesis funding on every node.
 	StrictDigests bool
 	// BlockInterval enables the heartbeat auto-miner: when this node is
@@ -413,7 +414,7 @@ func (n *Node) buildBlockMsg(b *chain.Block) (*p2p.BlockMsg, error) {
 		Header:      headerOf(b),
 		Txs:         txs,
 		Sig:         sig.Serialize(),
-		StateDigest: n.cfg.Chain.State().Digest(),
+		StateDigest: n.cfg.Chain.StateCommitment(),
 	}, nil
 }
 
@@ -579,9 +580,9 @@ func (n *Node) verifyAndApplyLocked(msg *p2p.BlockMsg) error {
 			n.diverged.Store(true)
 			return fmt.Errorf("%w: gas used %d != proposer's %d", ErrDiverged, template.GasUsed, hdr.GasUsed)
 		}
-		if digest := n.cfg.Chain.State().Digest(); digest != msg.StateDigest {
+		if commit := n.cfg.Chain.StateCommitment(); commit != msg.StateDigest {
 			n.diverged.Store(true)
-			return fmt.Errorf("%w: state digest %s != proposer's %s", ErrDiverged, digest, msg.StateDigest)
+			return fmt.Errorf("%w: state commitment %s != proposer's %s", ErrDiverged, commit, msg.StateDigest)
 		}
 	}
 

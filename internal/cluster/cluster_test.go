@@ -8,9 +8,11 @@ import (
 
 	"tinyevm/internal/chain"
 	"tinyevm/internal/consensus"
+	"tinyevm/internal/mst"
 	"tinyevm/internal/p2p"
 	"tinyevm/internal/secp256k1"
 	"tinyevm/internal/store"
+	"tinyevm/internal/store/disk"
 	"tinyevm/internal/types"
 )
 
@@ -126,7 +128,9 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // assertConverged requires every node to sit at exactly height h with
-// byte-identical head hashes and state digests.
+// byte-identical head hashes, state digests and MST state commitments,
+// and every node's incrementally maintained commitment to equal one
+// rebuilt from its full state — followers maintain the MST too.
 func (tc *testCluster) assertConverged(t *testing.T, h uint64) {
 	t.Helper()
 	for i, node := range tc.nodes {
@@ -136,23 +140,42 @@ func (tc *testCluster) assertConverged(t *testing.T, h uint64) {
 		})
 	}
 	ref := tc.nodes[0].Status()
-	refDigest := tc.digest(0)
-	for i := 1; i < len(tc.nodes); i++ {
+	refDigest, refCommit := tc.digest(t, 0)
+	for i := range tc.nodes {
 		st := tc.nodes[i].Status()
 		if st.Head != ref.Head {
 			t.Fatalf("node %d head %s != node 0 head %s at height %d", i, st.Head, ref.Head, h)
 		}
-		if d := tc.digest(i); d != refDigest {
+		d, commit := tc.digest(t, i)
+		if d != refDigest {
 			t.Fatalf("node %d state digest %s != node 0 digest %s", i, d, refDigest)
+		}
+		if commit != refCommit {
+			t.Fatalf("node %d state commitment %s != node 0 commitment %s", i, commit, refCommit)
 		}
 	}
 }
 
-func (tc *testCluster) digest(i int) types.Hash {
+// digest returns node i's full-state digest and its chain's state
+// commitment, failing the test when the commitment differs from one
+// rebuilt from scratch over the node's state.
+func (tc *testCluster) digest(t *testing.T, i int) (types.Hash, types.Hash) {
+	t.Helper()
 	n := tc.nodes[i]
 	n.lock.Lock()
 	defer n.lock.Unlock()
-	return tc.chains[i].State().Digest()
+	st := tc.chains[i].State()
+	m := mst.NewMap()
+	for _, addr := range st.Addresses() {
+		if d, ok := st.AccountDigest(addr); ok {
+			m.Update(addr[:], d, st.Balance(addr).Uint64())
+		}
+	}
+	commit := tc.chains[i].StateCommitment()
+	if rebuilt := chain.CommitmentDigest(m.Root()); rebuilt != commit {
+		t.Fatalf("node %d: maintained state commitment %s != rebuilt %s", i, commit, rebuilt)
+	}
+	return st.Digest(), commit
 }
 
 // transferTx builds a signed transfer from sender s with nonce nonce.
@@ -263,15 +286,20 @@ func TestFreshNodeCatchesUpViaStateSync(t *testing.T) {
 	tc.assertConverged(t, 6)
 }
 
-// TestRestartFromArchiveStore seals blocks with a persistent archive,
-// tears the node down, and rebuilds it offline from the same store.
+// TestRestartFromArchiveStore seals blocks with a disk-store archive
+// (as tinyevm-serve keeps it), tears the node and the store down, and
+// rebuilds the node offline from the reopened store.
 func TestRestartFromArchiveStore(t *testing.T) {
 	tc := &testCluster{net: p2p.NewMemNetwork()}
 	key := secp256k1.DeterministicKey("cluster-test-solo")
 	tc.keys = []*secp256k1.PrivateKey{key}
 	tc.vals = []types.Address{key.Address()}
 	tc.senders = append(tc.senders, secp256k1.DeterministicKey("cluster-test-sender-0"))
-	kv := store.NewMem()
+	dir := t.TempDir()
+	kv, err := disk.Open(dir, disk.WithNoSync())
+	if err != nil {
+		t.Fatal(err)
+	}
 	n := tc.newNode(t, 0, key, kv, nil)
 	for h := uint64(1); h <= 4; h++ {
 		n.SubmitTx(tc.transferTx(t, 0, h-1)) //nolint:errcheck
@@ -280,10 +308,17 @@ func TestRestartFromArchiveStore(t *testing.T) {
 		}
 	}
 	wantHead := n.Status().Head
-	wantDigest := tc.digest(0)
+	wantDigest, wantCommit := tc.digest(t, 0)
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if err := kv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if kv, err = disk.Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
 
 	// Rebuild on the same archive, no peers: restore must replay
 	// through verify-and-apply to the identical head.
@@ -293,8 +328,8 @@ func TestRestartFromArchiveStore(t *testing.T) {
 	if st.Height != 4 || st.Head != wantHead {
 		t.Fatalf("restored head %d/%s, want 4/%s", st.Height, st.Head, wantHead)
 	}
-	if d := tc2.digest(0); d != wantDigest {
-		t.Fatalf("restored digest %s, want %s", d, wantDigest)
+	if d, commit := tc2.digest(t, 0); d != wantDigest || commit != wantCommit {
+		t.Fatalf("restored digest/commitment %s/%s, want %s/%s", d, commit, wantDigest, wantCommit)
 	}
 }
 

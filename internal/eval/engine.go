@@ -262,7 +262,7 @@ func RunEngineThroughput(ctx context.Context, p EngineWorkloadParams, workerCoun
 		elapsed := time.Since(start)
 
 		identical := engine.ReceiptsEqual(serialReceipts, receipts) &&
-			serialChain.State().Digest() == parChain.State().Digest()
+			serialChain.StateCommitment() == parChain.StateCommitment()
 		rep.Rows = append(rep.Rows, EngineRow{
 			Workers:   workers,
 			Elapsed:   elapsed,

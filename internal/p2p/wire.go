@@ -121,8 +121,8 @@ type BlockMsg struct {
 	// Sig is the proposer's 65-byte signature over Header.Hash; the
 	// recovered address must equal Header.Coinbase.
 	Sig []byte
-	// StateDigest is the proposer's state digest after applying the
-	// block.
+	// StateDigest is the proposer's MST state commitment
+	// (chain.StateCommitment) after applying the block.
 	StateDigest types.Hash
 }
 

@@ -240,8 +240,7 @@ type NodeStatus struct {
 
 	// Store/checkpoint vitals (additive; absent without a durable
 	// store): backend kind, disk-segment and compaction counts, latest
-	// checkpoint height. StateRoot is the MST state root hash when the
-	// daemon runs the MST commitment.
+	// checkpoint height. StateRoot is the MST state root hash.
 	StoreKind        string `json:"storeKind,omitempty"`
 	Segments         int    `json:"segments,omitempty"`
 	Compactions      uint64 `json:"compactions,omitempty"`
@@ -279,7 +278,7 @@ func toNodeStatus(st tinyevm.NodeStatus) NodeStatus {
 // StoreStatus is the wire form of the durable store's status
 // (tinyevm_storeStatus).
 type StoreStatus struct {
-	// Kind names the backend: "mem", "wal", "disk" or "custom".
+	// Kind names the backend: "mem", "disk" or "custom".
 	Kind string `json:"kind"`
 	// Segments / SegmentBytes / MemtableBytes / Flushes / Compactions
 	// mirror the backend's store.Stats.

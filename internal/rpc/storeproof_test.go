@@ -53,7 +53,7 @@ func TestStoreStatusRPC(t *testing.T) {
 // client-side (Merkle path, commitment fold, account re-digest), and
 // reject a tampered wire proof.
 func TestStateProofRPC(t *testing.T) {
-	_, client := newTestGateway(t, tinyevm.WithMSTCommitment(true))
+	_, client := newTestGateway(t)
 	ctx := context.Background()
 
 	car, err := client.AddNode(ctx, "car")
@@ -96,9 +96,9 @@ func TestStateProofRPC(t *testing.T) {
 		}
 	}
 
-	// Digest-mode gateway: the method fails with a server error.
-	_, legacy := newTestGateway(t)
-	if _, err := legacy.StateProof(ctx, "provider"); err == nil {
-		t.Fatal("stateProof succeeded under the legacy digest commitment")
+	// An account that does not exist: the method fails with a server
+	// error instead of proving an empty leaf.
+	if _, err := client.StateProof(ctx, "0x000000000000000000000000000000000000dead"); err == nil {
+		t.Fatal("stateProof succeeded for a nonexistent account")
 	}
 }

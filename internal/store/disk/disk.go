@@ -5,10 +5,11 @@
 //
 // Write path: a committed batch appends one CRC-framed record to the
 // WAL (fsynced by default) and applies to the memtable — a commit is
-// crash-atomic exactly like the flat WAL backend. When the memtable
-// passes the flush threshold it is written out as a sorted segment
-// (temp file + fsync + rename + directory fsync), the MANIFEST is
-// atomically swapped to include it, and the WAL is truncated. Reads
+// crash-atomic: after a crash a batch is visible iff its whole record
+// reached the file. When the memtable passes the flush threshold it is
+// written out as a sorted segment (temp file + fsync + rename +
+// directory fsync), the MANIFEST is atomically swapped to include it,
+// and the WAL is truncated. Reads
 // consult the memtable, then segments newest → oldest; deletions
 // propagate as tombstones so newer segments shadow older ones.
 //
@@ -275,8 +276,11 @@ func (db *DB) sweepOrphans(m manifest) error {
 	return nil
 }
 
-// openWAL opens and replays the write-ahead log, truncating a torn
-// tail exactly like the flat WAL backend.
+// openWAL opens and replays the write-ahead log. Only the final frame
+// may be damaged: a torn append from a crash is truncated away so
+// appends resume on a record boundary. A damaged frame with data after
+// it, or a checksummed frame that does not decode, is corruption —
+// Open fails with ErrCorrupt and the file is left untouched.
 func (db *DB) openWAL() error {
 	f, err := os.OpenFile(filepath.Join(db.dir, walName), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -298,33 +302,9 @@ func (db *DB) openWAL() error {
 		return nil
 	}
 
-	r := io.NewSectionReader(f, 0, info.Size())
-	header := make([]byte, len(walMagic))
-	if _, err := io.ReadFull(r, header); err != nil || string(header) != string(walMagic) {
-		return fmt.Errorf("%w: bad wal magic", ErrCorrupt)
-	}
-	valid := int64(len(walMagic))
-	var hdr [frameHeader]byte
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			break // clean EOF or torn frame header
-		}
-		payloadLen := binary.LittleEndian.Uint32(hdr[0:4])
-		wantCRC := binary.LittleEndian.Uint32(hdr[4:8])
-		if int64(payloadLen) > info.Size()-valid-frameHeader {
-			break // length runs past EOF: torn record
-		}
-		payload := make([]byte, payloadLen)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			break
-		}
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			break // torn or corrupted record: stop at the last valid one
-		}
-		if err := db.applyWALPayload(payload); err != nil {
-			break
-		}
-		valid += frameHeader + int64(payloadLen)
+	valid, err := db.replayWAL(io.NewSectionReader(f, 0, info.Size()), info.Size())
+	if err != nil {
+		return err
 	}
 	if valid < info.Size() {
 		if err := f.Truncate(valid); err != nil {
@@ -336,6 +316,48 @@ func (db *DB) openWAL() error {
 	}
 	db.walSize = valid
 	return nil
+}
+
+// replayWAL applies every committed batch in the size-byte log r to the
+// memtable and returns the length of its intact prefix: everything but
+// a torn final frame. A frame whose declared length runs past the end
+// of the file is taken as torn; a checksum failure is torn only when
+// the frame ends exactly at the end of the file.
+func (db *DB) replayWAL(r io.Reader, size int64) (int64, error) {
+	header := make([]byte, len(walMagic))
+	if _, err := io.ReadFull(r, header); err != nil || string(header) != string(walMagic) {
+		return 0, fmt.Errorf("%w: bad wal magic", ErrCorrupt)
+	}
+	off := int64(len(walMagic))
+	var hdr [frameHeader]byte
+	for off < size {
+		if size-off < frameHeader {
+			return off, nil
+		}
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return 0, fmt.Errorf("disk: reading wal: %w", err)
+		}
+		end := off + frameHeader + int64(binary.LittleEndian.Uint32(hdr[0:4]))
+		if end > size {
+			return off, nil
+		}
+		payload := make([]byte, end-off-frameHeader)
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return 0, fmt.Errorf("disk: reading wal: %w", err)
+		}
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[4:8]) {
+			if end == size {
+				return off, nil
+			}
+			return 0, fmt.Errorf("%w: wal record at offset %d fails its checksum with %d bytes after it",
+				ErrCorrupt, off, size-end)
+		}
+		if err := db.applyWALPayload(payload); err != nil {
+			return 0, fmt.Errorf("wal record at offset %d: %w", off, err)
+		}
+		off = end
+	}
+	return off, nil
 }
 
 // applyWALPayload replays one committed batch into the memtable.
@@ -354,7 +376,8 @@ func (db *DB) applyWALPayload(payload []byte) error {
 				return err
 			}
 			payload = rest
-			db.memApply(string(key), append([]byte(nil), val...))
+			// A non-nil copy: an empty value is a put, not a tombstone.
+			db.memApply(string(key), append(make([]byte, 0, len(val)), val...))
 		case opDel:
 			db.memApply(string(key), nil)
 		default:

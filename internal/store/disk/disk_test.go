@@ -2,6 +2,7 @@ package disk
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -287,6 +288,88 @@ func TestDiskTornWALTail(t *testing.T) {
 	defer db.Close()
 	if v, ok, _ := db.Get([]byte("after")); !ok || string(v) != "ok" {
 		t.Fatalf("post-repair append lost: %q, %v", v, ok)
+	}
+}
+
+// TestDiskWALMidLogCorruption flips one byte inside the first record's
+// payload. That record is not the log's last, so it cannot be a torn
+// append: Open must fail with ErrCorrupt and leave the file as it was,
+// rather than truncate every committed record after it away.
+func TestDiskWALMidLogCorruption(t *testing.T) {
+	dir := t.TempDir()
+	db := openTest(t, dir)
+	for _, k := range []string{"a", "b", "c"} {
+		if err := db.Put([]byte(k), []byte("value-"+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join(dir, walName)
+	data, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(walMagic)+frameHeader+2] ^= 0x01 // inside record a's payload
+	if err := os.WriteFile(walPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := Open(dir, WithNoSync()); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open over a mid-log flip: err = %v, want ErrCorrupt", err)
+	}
+	after, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, data) {
+		t.Fatalf("refused wal was modified: %d bytes -> %d", len(data), len(after))
+	}
+}
+
+// TestDiskWALUndecodableRecord appends a frame whose checksum is valid
+// but whose payload is not a batch. A checksummed frame was written
+// whole, so even as the last frame it is corruption, not a torn append.
+func TestDiskWALUndecodableRecord(t *testing.T) {
+	dir := t.TempDir()
+	db := openTest(t, dir)
+	if err := db.Put([]byte("committed"), []byte("yes")); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	walPath := filepath.Join(dir, walName)
+	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(frame([]byte{9, 0, 0, 0, 0})); err != nil { // op 9 does not exist
+		t.Fatal(err)
+	}
+	f.Close()
+	before, _ := os.ReadFile(walPath)
+
+	if _, err := Open(dir, WithNoSync()); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open over an undecodable record: err = %v, want ErrCorrupt", err)
+	}
+	if after, _ := os.ReadFile(walPath); !bytes.Equal(after, before) {
+		t.Fatal("refused wal was modified")
+	}
+}
+
+// TestDiskEmptyValueSurvivesReplay pins that a put of an empty value
+// replays as a put, not as a tombstone.
+func TestDiskEmptyValueSurvivesReplay(t *testing.T) {
+	dir := t.TempDir()
+	db := openTest(t, dir)
+	if err := db.Put([]byte("empty"), nil); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	db = openTest(t, dir)
+	defer db.Close()
+	if v, ok, err := db.Get([]byte("empty")); err != nil || !ok || len(v) != 0 {
+		t.Fatalf("empty value after replay = %q, %v, %v", v, ok, err)
 	}
 }
 

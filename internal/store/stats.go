@@ -4,18 +4,17 @@ package store
 // engine sits under the interface and how much it is holding. The
 // service surfaces it over RPC as tinyevm_storeStatus.
 //
-// Fields that do not apply to a backend stay zero: the WAL has no
-// segment files, the in-memory store has no files at all.
+// Fields that do not apply to a backend stay zero: the in-memory store
+// has no files at all.
 type Stats struct {
-	// Kind names the backend: "mem", "wal" or "disk".
+	// Kind names the backend: "mem" or "disk".
 	Kind string
 	// Segments is the number of immutable segment files (disk backend).
 	Segments int
-	// SegmentBytes is the total on-disk size of the segment files, or
-	// the log size for the WAL backend.
+	// SegmentBytes is the total on-disk size of the segment files.
 	SegmentBytes int64
 	// MemtableBytes is the live byte estimate of the in-memory write
-	// buffer (disk memtable, WAL live map).
+	// buffer (the disk memtable, or the whole in-memory store).
 	MemtableBytes int64
 	// Flushes counts memtable → segment flushes since open.
 	Flushes uint64
@@ -39,11 +38,4 @@ func (s *Mem) Stats() Stats {
 		bytes += int64(len(k) + len(v))
 	}
 	return Stats{Kind: "mem", MemtableBytes: bytes}
-}
-
-// Stats implements StatsProvider.
-func (w *WAL) Stats() Stats {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return Stats{Kind: "wal", SegmentBytes: w.size, MemtableBytes: w.liveBytes}
 }

@@ -1,7 +1,7 @@
 // Package store is the pluggable persistence layer under TinyEVM's
 // durable state: a small key-value interface with an in-memory backend
-// (tests, ephemeral deployments) and an append-only, checksummed
-// write-ahead-log backend (see wal.go) that survives process crashes.
+// (tests, ephemeral deployments). The durable backend that survives
+// process crashes is the disk store in the disk subpackage.
 //
 // The chain layer commits sealed blocks and per-block state deltas
 // through a KVStore; the service layer journals its operation log into

@@ -1,36 +1,80 @@
-package store
+// The store package's tests live in an external test package so the
+// store.KVStore contract runs against the durable disk backend too (disk
+// imports store). The TestWAL* tests pin the crash behaviour of the
+// disk store's write-ahead log through its public surface.
+package store_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"tinyevm/internal/store"
+	"tinyevm/internal/store/disk"
 )
 
-// backends runs a subtest against every KVStore implementation.
-func backends(t *testing.T, fn func(t *testing.T, kv KVStore)) {
-	t.Run("mem", func(t *testing.T) { fn(t, NewMem()) })
-	t.Run("wal", func(t *testing.T) {
-		w, err := OpenWAL(filepath.Join(t.TempDir(), "test.wal"))
-		if err != nil {
-			t.Fatal(err)
+// walFile is the disk store's write-ahead log inside its directory.
+func walFile(dir string) string { return filepath.Join(dir, "wal.log") }
+
+func walSize(t *testing.T, dir string) int64 {
+	t.Helper()
+	info, err := os.Stat(walFile(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info.Size()
+}
+
+func openDisk(t *testing.T, dir string) *disk.DB {
+	t.Helper()
+	db, err := disk.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// backends runs a subtest against every KVStore implementation: the
+// in-memory store and the disk store, the latter both with its data
+// still in the write-ahead log ("wal": the default flush threshold is
+// never reached) and flushed into segments on every commit ("disk"),
+// each also behind a Prefixed view.
+func backends(t *testing.T, fn func(t *testing.T, kv store.KVStore)) {
+	t.Run("mem", func(t *testing.T) { fn(t, store.NewMem()) })
+	for _, c := range []struct {
+		name string
+		opts []disk.Option
+	}{
+		{"wal", nil},
+		{"disk", []disk.Option{disk.WithFlushBytes(1)}},
+	} {
+		for _, prefixed := range []bool{false, true} {
+			name := c.name
+			if prefixed {
+				name = "prefixed-" + name
+			}
+			t.Run(name, func(t *testing.T) {
+				db, err := disk.Open(t.TempDir(), append([]disk.Option{disk.WithNoSync()}, c.opts...)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer db.Close()
+				if prefixed {
+					fn(t, store.Prefixed(db, "ns/"))
+				} else {
+					fn(t, db)
+				}
+			})
 		}
-		defer w.Close()
-		fn(t, w)
-	})
-	t.Run("prefixed-wal", func(t *testing.T) {
-		w, err := OpenWAL(filepath.Join(t.TempDir(), "test.wal"), WithNoSync())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer w.Close()
-		fn(t, Prefixed(w, "ns/"))
-	})
+	}
 }
 
 func TestStoreBasics(t *testing.T) {
-	backends(t, func(t *testing.T, kv KVStore) {
+	backends(t, func(t *testing.T, kv store.KVStore) {
 		if _, ok, _ := kv.Get([]byte("missing")); ok {
 			t.Fatal("missing key found")
 		}
@@ -57,7 +101,7 @@ func TestStoreBasics(t *testing.T) {
 }
 
 func TestStoreIterateOrder(t *testing.T) {
-	backends(t, func(t *testing.T, kv KVStore) {
+	backends(t, func(t *testing.T, kv store.KVStore) {
 		for _, k := range []string{"b/2", "a/1", "b/1", "c", "b/10"} {
 			if err := kv.Put([]byte(k), []byte("v"+k)); err != nil {
 				t.Fatal(err)
@@ -86,7 +130,7 @@ func TestStoreIterateOrder(t *testing.T) {
 }
 
 func TestStoreBatchAtomicVisibility(t *testing.T) {
-	backends(t, func(t *testing.T, kv KVStore) {
+	backends(t, func(t *testing.T, kv store.KVStore) {
 		if err := kv.Put([]byte("gone"), []byte("x")); err != nil {
 			t.Fatal(err)
 		}
@@ -113,11 +157,8 @@ func TestStoreBatchAtomicVisibility(t *testing.T) {
 }
 
 func TestWALReopenRestores(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "x.wal")
-	w, err := OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
+	w := openDisk(t, dir)
 	for i := 0; i < 100; i++ {
 		if err := w.Put([]byte(fmt.Sprintf("key-%03d", i)), []byte(fmt.Sprintf("val-%d", i))); err != nil {
 			t.Fatal(err)
@@ -130,10 +171,7 @@ func TestWALReopenRestores(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w2, err := OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w2 := openDisk(t, dir)
 	defer w2.Close()
 	if v, ok, _ := w2.Get([]byte("key-099")); !ok || string(v) != "val-99" {
 		t.Fatalf("key-099 = %q %v", v, ok)
@@ -154,29 +192,23 @@ func TestWALReopenRestores(t *testing.T) {
 func TestWALTornTail(t *testing.T) {
 	for _, cut := range []int{1, 5, 9} { // cut inside frame header and payload
 		t.Run(fmt.Sprintf("cut-%d", cut), func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "torn.wal")
-			w, err := OpenWAL(path)
-			if err != nil {
-				t.Fatal(err)
-			}
+			dir := t.TempDir()
+			w := openDisk(t, dir)
 			if err := w.Put([]byte("durable"), []byte("yes")); err != nil {
 				t.Fatal(err)
 			}
-			sizeAfterFirst := w.size
+			sizeAfterFirst := walSize(t, dir)
 			if err := w.Put([]byte("torn"), []byte("record")); err != nil {
 				t.Fatal(err)
 			}
 			w.Close()
 
 			// Tear the second record cut bytes after its start.
-			if err := os.Truncate(path, sizeAfterFirst+int64(cut)); err != nil {
+			if err := os.Truncate(walFile(dir), sizeAfterFirst+int64(cut)); err != nil {
 				t.Fatal(err)
 			}
 
-			w2, err := OpenWAL(path)
-			if err != nil {
-				t.Fatal(err)
-			}
+			w2 := openDisk(t, dir)
 			if v, ok, _ := w2.Get([]byte("durable")); !ok || string(v) != "yes" {
 				t.Fatalf("durable = %q %v", v, ok)
 			}
@@ -188,10 +220,7 @@ func TestWALTornTail(t *testing.T) {
 				t.Fatal(err)
 			}
 			w2.Close()
-			w3, err := OpenWAL(path)
-			if err != nil {
-				t.Fatal(err)
-			}
+			w3 := openDisk(t, dir)
 			defer w3.Close()
 			if v, ok, _ := w3.Get([]byte("after")); !ok || string(v) != "repair" {
 				t.Fatalf("after = %q %v", v, ok)
@@ -202,12 +231,11 @@ func TestWALTornTail(t *testing.T) {
 
 // TestWALChecksumCorruption flips a payload byte of the last record: the
 // checksum must reject it and replay must stop at the previous record.
+// (A flip in an earlier record is corruption, not a torn tail; see
+// disk's TestDiskWALMidLogCorruption.)
 func TestWALChecksumCorruption(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "crc.wal")
-	w, err := OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
+	w := openDisk(t, dir)
 	if err := w.Put([]byte("good"), []byte("1")); err != nil {
 		t.Fatal(err)
 	}
@@ -216,19 +244,16 @@ func TestWALChecksumCorruption(t *testing.T) {
 	}
 	w.Close()
 
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(walFile(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	data[len(data)-1] ^= 0xff // corrupt the last payload byte
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(walFile(dir), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	w2, err := OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w2 := openDisk(t, dir)
 	defer w2.Close()
 	if v, ok, _ := w2.Get([]byte("good")); !ok || string(v) != "1" {
 		t.Fatalf("good = %q %v", v, ok)
@@ -239,23 +264,23 @@ func TestWALChecksumCorruption(t *testing.T) {
 }
 
 func TestWALBadHeader(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "hdr.wal")
-	if err := os.WriteFile(path, []byte("NOTAWAL0junk"), 0o644); err != nil {
+	dir := t.TempDir()
+	if err := os.WriteFile(walFile(dir), []byte("NOTAWAL0junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenWAL(path); err == nil {
-		t.Fatal("bad header accepted")
+	if _, err := disk.Open(dir); !errors.Is(err, disk.ErrCorrupt) {
+		t.Fatalf("bad header: err = %v, want ErrCorrupt", err)
+	}
+	if data, _ := os.ReadFile(walFile(dir)); string(data) != "NOTAWAL0junk" {
+		t.Fatalf("refused log was rewritten: %q", data)
 	}
 }
 
-// TestWALCompact rewrites overwritten history away and preserves the
-// live map across the rewrite and a reopen.
+// TestWALCompact flushes overwritten history out of the log and
+// preserves the live map across the flush and a reopen.
 func TestWALCompact(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "compact.wal")
-	w, err := OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
+	w := openDisk(t, dir)
 	big := bytes.Repeat([]byte("x"), 1024)
 	for i := 0; i < 200; i++ {
 		if err := w.Put([]byte("hot"), append(big, byte(i))); err != nil {
@@ -265,37 +290,34 @@ func TestWALCompact(t *testing.T) {
 	if err := w.Put([]byte("cold"), []byte("keep")); err != nil {
 		t.Fatal(err)
 	}
-	before := w.size
-	if err := w.Compact(); err != nil {
+	before := walSize(t, dir)
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if w.size >= before/10 {
-		t.Fatalf("compaction barely shrank the log: %d -> %d", before, w.size)
+	if after := walSize(t, dir); after >= before/10 {
+		t.Fatalf("flush barely shrank the log: %d -> %d", before, after)
 	}
 	if v, ok, _ := w.Get([]byte("cold")); !ok || string(v) != "keep" {
-		t.Fatalf("cold after compact = %q %v", v, ok)
+		t.Fatalf("cold after flush = %q %v", v, ok)
 	}
-	// The compacted file must still replay and accept appends.
+	// The truncated log must still replay and accept appends.
 	if err := w.Put([]byte("post"), []byte("compact")); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
-	w2, err := OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w2 := openDisk(t, dir)
 	defer w2.Close()
 	for _, kv := range [][2]string{{"hot", string(append(big, 199))}, {"cold", "keep"}, {"post", "compact"}} {
 		if v, ok, _ := w2.Get([]byte(kv[0])); !ok || string(v) != kv[1] {
-			t.Fatalf("%s after compact+reopen = %q %v", kv[0], v, ok)
+			t.Fatalf("%s after flush+reopen = %q %v", kv[0], v, ok)
 		}
 	}
 }
 
 func TestPrefixedIsolation(t *testing.T) {
-	base := NewMem()
-	a := Prefixed(base, "a/")
-	b := Prefixed(base, "b/")
+	base := store.NewMem()
+	a := store.Prefixed(base, "a/")
+	b := store.Prefixed(base, "b/")
 	if err := a.Put([]byte("k"), []byte("va")); err != nil {
 		t.Fatal(err)
 	}
@@ -317,8 +339,8 @@ func TestPrefixedIsolation(t *testing.T) {
 }
 
 func TestStoreClosed(t *testing.T) {
-	backends(t, func(t *testing.T, kv KVStore) {
-		if _, ok := kv.(*prefixed); ok {
+	backends(t, func(t *testing.T, kv store.KVStore) {
+		if strings.HasPrefix(t.Name(), "TestStoreClosed/prefixed-") {
 			t.Skip("prefixed views do not own the underlying store")
 		}
 		if err := kv.Close(); err != nil {

@@ -12,7 +12,7 @@ package tinyevm
 // interval. The only nondeterministic inputs — routing secrets and
 // sensor readings — are captured inside the records themselves, so
 // replaying the log reproduces balances, channels, blocks and state
-// digests byte-for-byte. The chain's persistence hook cross-checks
+// commitments byte-for-byte. The chain's persistence hook cross-checks
 // this on every replayed seal: a block that does not match the record
 // already in the store fails recovery instead of silently forking
 // history.
@@ -21,11 +21,12 @@ package tinyevm
 //
 //	op/<seq %016x> -> opRecord JSON
 //
-// The log is append-only through the KVStore; on the WAL backend each
-// record is one checksummed batch. Logging intent-first means an
-// operation that was journaled but not acknowledged before a crash is
-// still applied on recovery — the durability contract is "acknowledged
-// operations survive; the tail may include the in-flight one".
+// The log is append-only through the KVStore; in the disk store's
+// write-ahead log each record is one checksummed batch. Logging
+// intent-first means an operation that was journaled but not
+// acknowledged before a crash is still applied on recovery — the
+// durability contract is "acknowledged operations survive; the tail
+// may include the in-flight one".
 
 import (
 	"context"
@@ -132,15 +133,20 @@ type serviceMeta struct {
 	ChallengePeriod uint64  `json:"challengePeriod"`
 	RadioSeed       int64   `json:"radioSeed"`
 	RadioLossRate   float64 `json:"radioLossRate"`
-	// StateCommitment is "" for the legacy full-state digest and "mst"
-	// for the incremental Merkle-sum-tree commitment — persisted state
-	// commitments differ between the modes, so a store written in one
-	// refuses to open in the other. Stores from before the knob existed
-	// decode to "" and keep working in digest mode.
+	// StateCommitment is "mst", the incremental Merkle-sum-tree
+	// commitment. Stores written with the retired full-state digest
+	// pinned "" (or nothing); their persisted block commitments cannot
+	// verify, so they are refused with ErrLegacyStore.
 	StateCommitment string `json:"stateCommitment,omitempty"`
 }
 
-const serviceMetaKey = "meta/service"
+const (
+	serviceMetaKey     = "meta/service"
+	stateCommitmentMST = "mst"
+)
+
+// migrationHint names the only migration for a legacy data dir.
+const migrationHint = "there is no in-place conversion: move the old data dir aside and start the deployment in a fresh one (docs/STORAGE.md, \"Migrating old data dirs\")"
 
 // checkMeta verifies (or, on first use, records) the store's deployment
 // parameters.
@@ -159,6 +165,10 @@ func (s *Service) checkMeta(meta serviceMeta) error {
 	var have serviceMeta
 	if err := json.Unmarshal(data, &have); err != nil {
 		return fmt.Errorf("tinyevm: decoding store meta: %w", err)
+	}
+	if have.StateCommitment != stateCommitmentMST {
+		return fmt.Errorf("%w: the store pins the retired digest state commitment (stateCommitment %q); %s",
+			ErrLegacyStore, have.StateCommitment, migrationHint)
 	}
 	if have != meta {
 		return fmt.Errorf("tinyevm: store belongs to a different deployment (store %+v, requested %+v)", have, meta)
@@ -500,14 +510,14 @@ func (s *Service) applyRoute(rec *opRecord, secret Secret) (opResult, error) {
 		return res, fmt.Errorf("%w: %q", ErrUnknownNode, rec.Receiver)
 	}
 	parties := make([]*ServiceNode, 0, len(rec.Steps)+1)
-	hops := make([]RouteHop, 0, len(rec.Steps))
+	hops := make([]protocol.RouteHop, 0, len(rec.Steps))
 	for _, st := range rec.Steps {
 		sn, ok := s.nodes[st.Node]
 		if !ok {
 			return res, fmt.Errorf("%w: %q", ErrUnknownNode, st.Node)
 		}
 		parties = append(parties, sn)
-		hops = append(hops, RouteHop{From: sn.n.Party, ChannelID: st.Channel})
+		hops = append(hops, protocol.RouteHop{From: sn.n.Party, ChannelID: st.Channel})
 	}
 	parties = append(parties, recv)
 
@@ -614,26 +624,38 @@ func decodeFinalState(s string) (*FinalState, error) {
 	return fs, nil
 }
 
-// openDataDir opens the service-owned store under dir: the WAL file by
-// default, the embedded disk backend with WithStoreBackend("disk").
-// TINYEVM_DISK_FLUSH_BYTES overrides the disk backend's memtable flush
-// threshold — the store-smoke harness shrinks it to force segment
-// flushes and background compactions within a short workload.
-func openDataDir(dir, backend string) (store.KVStore, error) {
-	switch backend {
-	case "", "wal":
-		return store.OpenWAL(filepath.Join(dir, "tinyevm.wal"))
-	case "disk":
-		var opts []disk.Option
-		if v := os.Getenv("TINYEVM_DISK_FLUSH_BYTES"); v != "" {
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil || n <= 0 {
-				return nil, fmt.Errorf("tinyevm: bad TINYEVM_DISK_FLUSH_BYTES %q", v)
-			}
-			opts = append(opts, disk.WithFlushBytes(n))
-		}
-		return disk.Open(filepath.Join(dir, "store"), opts...)
-	default:
-		return nil, fmt.Errorf("tinyevm: unknown store backend %q (want \"wal\" or \"disk\")", backend)
+// openDataDir opens the service-owned disk store at <dir>/store. A dir
+// that holds the retired single-file log (tinyevm.wal) but no store is
+// refused rather than started empty beside the old history.
+// TINYEVM_DISK_FLUSH_BYTES overrides the memtable flush threshold — the
+// store-smoke harness shrinks it to force segment flushes and
+// background compactions within a short workload.
+func openDataDir(dir string) (store.KVStore, error) {
+	path := filepath.Join(dir, "store")
+	if err := refuseLegacyLog(filepath.Join(dir, "tinyevm.wal"), path); err != nil {
+		return nil, err
 	}
+	var opts []disk.Option
+	if v := os.Getenv("TINYEVM_DISK_FLUSH_BYTES"); v != "" {
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil || n <= 0 {
+			return nil, fmt.Errorf("tinyevm: bad TINYEVM_DISK_FLUSH_BYTES %q", v)
+		}
+		opts = append(opts, disk.WithFlushBytes(n))
+	}
+	return disk.Open(path, opts...)
+}
+
+// refuseLegacyLog fails with ErrLegacyStore when the retired wal
+// backend's log file exists and the disk store that replaces it does
+// not.
+func refuseLegacyLog(legacy, storeDir string) error {
+	if _, err := os.Stat(legacy); err != nil {
+		return nil
+	}
+	if _, err := os.Stat(storeDir); err == nil {
+		return nil
+	}
+	return fmt.Errorf("%w: %s was written by the retired wal backend and %s does not exist; %s",
+		ErrLegacyStore, legacy, storeDir, migrationHint)
 }

@@ -1,7 +1,7 @@
 package tinyevm_test
 
 // Crash-recovery end-to-end test: a real tinyevm-serve process with
-// -data-dir is SIGKILLed mid-workload (between block seals, with
+// -data-dir (the disk store) is SIGKILLed mid-workload (between block seals, with
 // payments in flight), restarted, and must come back with every
 // acknowledged operation intact. A second SIGKILL/restart cycle then
 // proves recovery is deterministic: two recoveries of the same log
@@ -132,6 +132,9 @@ func TestCrashRecoveryE2E(t *testing.T) {
 
 	// --- phase 3: recover and verify the durability contract ----------
 	start()
+	if st, err := client.StoreStatus(ctx); err != nil || st.Kind != "disk" {
+		t.Fatalf("recovered daemon store status %+v, %v; want the disk store", st, err)
+	}
 	head, err := client.Head(ctx)
 	if err != nil {
 		t.Fatal(err)

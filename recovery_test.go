@@ -1,12 +1,16 @@
 package tinyevm_test
 
 // Recovery tests for the durable service: a deployment journaled into a
-// store (in-memory or WAL) must come back byte-identical — head block
+// store (in-memory or disk) must come back byte-identical — head block
 // hash, chain state digest, balances and channel states — after being
 // torn down and reconstructed with NewService over the same store.
 
 import (
 	"context"
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"tinyevm"
@@ -226,9 +230,10 @@ func TestServiceRecoveryRoundTrip(t *testing.T) {
 	assertSameDeployment(t, want2, captureState(t, svc3))
 }
 
-// TestServiceRecoveryWAL runs the round-trip through the real WAL file,
-// including a service-owned open/close cycle (WithDataDir) and a
-// double recovery proving replay determinism.
+// TestServiceRecoveryWAL runs the round-trip through the disk store a
+// service opens itself under WithDataDir (the workload stays in the
+// store's write-ahead log), including a service-owned open/close cycle
+// and a double recovery proving replay determinism.
 func TestServiceRecoveryWAL(t *testing.T) {
 	dir := t.TempDir()
 	svc, lot, err := tinyevm.NewService("lot", recoveryOpts(tinyevm.WithDataDir(dir))...)
@@ -240,6 +245,9 @@ func TestServiceRecoveryWAL(t *testing.T) {
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := os.Stat(filepath.Join(dir, "store", "wal.log")); err != nil {
+		t.Fatalf("WithDataDir did not open the disk store at <dir>/store: %v", err)
+	}
 
 	for i := 0; i < 2; i++ {
 		svc2, _, err := tinyevm.NewService("lot", recoveryOpts(tinyevm.WithDataDir(dir))...)
@@ -247,7 +255,35 @@ func TestServiceRecoveryWAL(t *testing.T) {
 			t.Fatalf("recovery %d: %v", i, err)
 		}
 		assertSameDeployment(t, want, captureState(t, svc2))
+		st, ok, err := svc2.StoreStatus(context.Background())
+		if err != nil || !ok || st.Kind != "disk" {
+			t.Fatalf("recovery %d: store status %+v %v %v", i, st, ok, err)
+		}
 		svc2.Close()
+	}
+}
+
+// TestDataDirRefusesLegacyWAL pins the refusal of a data dir written by
+// the retired wal backend: NewService fails with ErrLegacyStore, leaves
+// the old log alone and creates no empty store beside it.
+func TestDataDirRefusesLegacyWAL(t *testing.T) {
+	dir := t.TempDir()
+	legacy := filepath.Join(dir, "tinyevm.wal")
+	if err := os.WriteFile(legacy, []byte("TEVMWAL1"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := tinyevm.NewService("lot", recoveryOpts(tinyevm.WithDataDir(dir))...)
+	if !errors.Is(err, tinyevm.ErrLegacyStore) {
+		t.Fatalf("legacy data dir: err = %v, want ErrLegacyStore", err)
+	}
+	if !strings.Contains(err.Error(), "Migrating old data dirs") {
+		t.Fatalf("refusal does not name the migration: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "store")); !os.IsNotExist(err) {
+		t.Fatalf("an empty store was created beside the legacy log (stat: %v)", err)
+	}
+	if data, _ := os.ReadFile(legacy); string(data) != "TEVMWAL1" {
+		t.Fatalf("legacy log modified: %q", data)
 	}
 }
 

@@ -33,6 +33,11 @@ var (
 	// ErrDeliveryFailed and the underlying cause; the operation's result
 	// (e.g. the signed payment) is returned alongside the error.
 	ErrDeliveryFailed = errors.New("tinyevm: delivered locally, rejected by counterparty")
+	// ErrLegacyStore is returned by NewService for a data dir or store
+	// written in a retired format: the wal backend's single log file, or
+	// the full-state digest commitment. Such history is never opened,
+	// and never shadowed by a fresh empty store.
+	ErrLegacyStore = errors.New("tinyevm: legacy store format")
 )
 
 // Option configures a Service (functional options).
@@ -45,10 +50,10 @@ type serviceConfig struct {
 	clock         func() time.Time
 	kv            store.KVStore
 	dataDir       string
-	backend       string
 	ckptInterval  uint64
-	mstCommit     bool
 	cluster       *ClusterConfig
+	// optErr is the first option value NewService must refuse.
+	optErr error
 }
 
 // WithChallengePeriod sets the on-chain template's challenge window in
@@ -108,12 +113,6 @@ func WithClock(now func() time.Time) Option {
 	return func(c *serviceConfig) { c.clock = now }
 }
 
-// WithConfig replaces the whole core configuration (escape hatch for
-// callers migrating from the deprecated NewSystem façade).
-func WithConfig(cfg Config) Option {
-	return func(c *serviceConfig) { c.core = cfg }
-}
-
 // WithStore makes the deployment durable over the given key-value
 // store: sealed blocks and per-block state deltas are committed at
 // every seal, every state-changing operation is journaled, and
@@ -129,21 +128,24 @@ func WithStore(kv store.KVStore) Option {
 }
 
 // WithDataDir is WithStore over a service-owned store under dir
-// (created as needed): the write-ahead log at <dir>/tinyevm.wal by
-// default, or the embedded disk backend under <dir>/store with
-// WithStoreBackend("disk"). The service closes it on Close. WithStore,
-// when also given, wins.
+// (created as needed): the embedded disk store (internal/store/disk)
+// rooted at <dir>/store. The service closes it on Close. WithStore,
+// when also given, wins. A dir holding only the retired single-file
+// log (<dir>/tinyevm.wal) is refused with ErrLegacyStore.
 func WithDataDir(dir string) Option {
 	return func(c *serviceConfig) { c.dataDir = dir }
 }
 
-// WithStoreBackend selects the WithDataDir storage engine: "wal" (the
-// default single-file write-ahead log, rewritten on open) or "disk"
-// (the embedded memtable + sorted-segment store with background
-// compaction; see internal/store/disk). It has no effect with an
-// explicit WithStore.
+// WithStoreBackend names the WithDataDir storage engine. "disk" is the
+// only engine; any other value makes NewService fail.
+//
+// Deprecated: WithDataDir always opens the disk store; drop the option.
 func WithStoreBackend(kind string) Option {
-	return func(c *serviceConfig) { c.backend = kind }
+	return func(c *serviceConfig) {
+		if kind != "disk" && c.optErr == nil {
+			c.optErr = fmt.Errorf("tinyevm: unknown store backend %q (the disk store is the only one)", kind)
+		}
+	}
 }
 
 // WithCheckpointInterval makes a durable deployment write a full state
@@ -161,15 +163,17 @@ func WithCheckpointInterval(n uint64) Option {
 	return func(c *serviceConfig) { c.ckptInterval = n }
 }
 
-// WithMSTCommitment switches the chain's per-block state commitment
-// from the legacy O(n) full-state digest to an incremental
-// Merkle-sum-tree root updated in O(log n) per touched account. Blocks
-// hash identically either way; only the persisted state commitment
-// differs, and a store written in one mode refuses to open in the
-// other. The MST mode additionally serves light-client account proofs
-// (Service.StateProof, tinyevm_stateProof).
+// WithMSTCommitment selects the incremental Merkle-sum-tree state
+// commitment, which every chain now seals with. Only true is accepted;
+// false makes NewService fail.
+//
+// Deprecated: the MST commitment is always on; drop the option.
 func WithMSTCommitment(on bool) Option {
-	return func(c *serviceConfig) { c.mstCommit = on }
+	return func(c *serviceConfig) {
+		if !on && c.optErr == nil {
+			c.optErr = errors.New("tinyevm: the digest state commitment was removed; the MST commitment is the only one")
+		}
+	}
 }
 
 // Service is the concurrency-safe façade over a TinyEVM deployment.
@@ -187,10 +191,10 @@ func WithMSTCommitment(on bool) Option {
 // execution — replaying it single-threaded reproduces the deployment
 // byte-for-byte. See shard.go for the lock-ordering rules.
 //
-// Unlike the deprecated lockstep façade (NewSystem), the service
-// dispatches incoming wire messages automatically: a Pay on one node is
-// verified, registered and observable on the counterparty — via
-// Subscribe event streams — without any manual ReceivePayment call.
+// The service dispatches incoming wire messages automatically: a Pay on
+// one node is verified, registered and observable on the counterparty
+// — via Subscribe event streams — without any manual ReceivePayment
+// call.
 type Service struct {
 	// mu is the global service lock. Sharded (pairwise) operations hold
 	// it in read mode for their whole duration; global operations —
@@ -264,6 +268,9 @@ func NewService(providerName string, opts ...Option) (*Service, *ServiceNode, er
 	for _, o := range opts {
 		o(&cfg)
 	}
+	if cfg.optErr != nil {
+		return nil, nil, cfg.optErr
+	}
 	if cfg.clock == nil {
 		cfg.clock = time.Now
 	}
@@ -271,11 +278,6 @@ func NewService(providerName string, opts ...Option) (*Service, *ServiceNode, er
 	sys, provider, err := core.NewSystem(cfg.core, providerName)
 	if err != nil {
 		return nil, nil, err
-	}
-	if cfg.mstCommit {
-		// Before any store attaches: the first persisted seal must
-		// already carry the MST commitment.
-		sys.Chain.EnableMSTCommitment()
 	}
 	if cfg.core.RadioLossRate != 0 || cfg.cluster != nil {
 		// A checkpoint cannot restore the radio RNG's consumption
@@ -302,7 +304,7 @@ func NewService(providerName string, opts ...Option) (*Service, *ServiceNode, er
 
 	kv := cfg.kv
 	if kv == nil && cfg.dataDir != "" {
-		if kv, err = openDataDir(cfg.dataDir, cfg.backend); err != nil {
+		if kv, err = openDataDir(cfg.dataDir); err != nil {
 			return nil, nil, err
 		}
 		s.ownedKV = kv
@@ -310,16 +312,12 @@ func NewService(providerName string, opts ...Option) (*Service, *ServiceNode, er
 	if kv != nil {
 		start := time.Now()
 		s.ops = kv
-		commitMode := ""
-		if cfg.mstCommit {
-			commitMode = "mst"
-		}
 		if err := s.checkMeta(serviceMeta{
 			Provider:        providerName,
 			ChallengePeriod: cfg.core.ChallengePeriod,
 			RadioSeed:       cfg.core.RadioSeed,
 			RadioLossRate:   cfg.core.RadioLossRate,
-			StateCommitment: commitMode,
+			StateCommitment: stateCommitmentMST,
 		}); err != nil {
 			s.closeOwnedStore()
 			return nil, nil, err
@@ -352,7 +350,7 @@ func NewService(providerName string, opts ...Option) (*Service, *ServiceNode, er
 		s.recovery.Recovered = hasCkpt || replayed > 0
 		s.recovery.Duration = time.Since(start)
 		// Replay ran with synchronous persistence (every seal verified
-		// against the store in lockstep); live mode pipelines WAL commits
+		// against the store in lockstep); live mode pipelines batch commits
 		// so block N+1 can execute while block N persists.
 		sys.Chain.EnablePipeline(chain.DefaultPipelineDepth)
 	}
@@ -519,7 +517,7 @@ func (s *Service) TemplateSettled(ctx context.Context) (bool, error) {
 // System exposes the underlying deployment for measurement and
 // inspection. It is NOT safe to mutate concurrently with service
 // operations; quiesce the service first.
-func (s *Service) System() *System { return s.sys }
+func (s *Service) System() *core.System { return s.sys }
 
 // RecoveryInfo describes what NewService reconstructed from a durable
 // store: whether anything was recovered at all, the checkpoint it
@@ -547,7 +545,7 @@ func (s *Service) RecoveryInfo() RecoveryInfo { return s.recovery }
 // engine under the journal and the checkpoint position. Surfaced over
 // RPC as tinyevm_storeStatus.
 type StoreStatus struct {
-	// Kind names the backend ("mem", "wal", "disk", or "custom" for a
+	// Kind names the backend ("mem", "disk", or "custom" for a
 	// caller-provided store that reports no stats).
 	Kind string
 	// Segments / SegmentBytes / MemtableBytes / Flushes / Compactions
@@ -596,8 +594,7 @@ func (s *Service) StoreStatus(ctx context.Context) (StoreStatus, bool, error) {
 	return st, ok, err
 }
 
-// StateCommitment is the chain's current authenticated state root
-// under the MST commitment mode (WithMSTCommitment).
+// StateCommitment is the chain's current authenticated state root.
 type StateCommitment struct {
 	// Root is the Merkle-sum-tree root hash over all accounts.
 	Root Hash
@@ -609,15 +606,11 @@ type StateCommitment struct {
 	Height uint64
 }
 
-// StateCommitment returns the current MST state root. It fails with
-// chain.ErrNoMSTCommitment unless WithMSTCommitment is enabled.
+// StateCommitment returns the MST state root as of the latest seal.
 func (s *Service) StateCommitment(ctx context.Context) (StateCommitment, error) {
 	var out StateCommitment
 	err := s.do(ctx, func() error {
-		root, err := s.sys.Chain.StateRoot()
-		if err != nil {
-			return err
-		}
+		root := s.sys.Chain.StateRoot()
 		out = StateCommitment{
 			Root:       root.Hash,
 			Sum:        root.Sum,
@@ -631,7 +624,7 @@ func (s *Service) StateCommitment(ctx context.Context) (StateCommitment, error) 
 
 // StateProof builds a light-client-verifiable membership proof that
 // addr's account is committed under the chain head's state commitment.
-// Requires WithMSTCommitment; verify with chain.VerifyAccountProof (or
+// Verify it with chain.VerifyAccountProof (or
 // client-side via rpc.Client.VerifyStateProof, which also re-digests
 // the account preimage).
 func (s *Service) StateProof(ctx context.Context, addr Address) (*AccountProof, error) {
@@ -1006,11 +999,6 @@ func (sn *ServiceNode) Name() string { return sn.n.Name() }
 
 // Address returns the node's device address.
 func (sn *ServiceNode) Address() Address { return sn.n.Address() }
-
-// Unwrap returns the underlying lockstep-façade node. It is NOT safe to
-// drive concurrently with service operations; quiesce the service first
-// (measurement and reporting escape hatch).
-func (sn *ServiceNode) Unwrap() *Node { return sn.n }
 
 // Subscribe returns this node's event stream: channel-opened,
 // payment-received, channel-closed, claim-settled, sensor-data and

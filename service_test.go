@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"tinyevm"
+	"tinyevm/internal/core"
 	"tinyevm/internal/protocol"
 )
 
@@ -20,14 +21,14 @@ func registerTemp(n interface {
 }
 
 // TestServiceMatchesLockstepFacade runs the same session through the
-// deprecated lockstep façade and through the event-driven Service and
+// lockstep core.System and through the event-driven Service and
 // requires the doubly-signed final states to be byte-identical on the
 // wire.
 func TestServiceMatchesLockstepFacade(t *testing.T) {
 	amounts := []uint64{500, 500, 750}
 
-	// Old façade, manual pumping.
-	sys, lot, err := tinyevm.NewSystem(tinyevm.DefaultConfig(), "parking-lot")
+	// Lockstep system, manual pumping.
+	sys, lot, err := core.NewSystem(core.DefaultConfig(), "parking-lot")
 	if err != nil {
 		t.Fatal(err)
 	}

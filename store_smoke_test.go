@@ -1,8 +1,8 @@
 package tinyevm_test
 
 // Store-smoke end-to-end: a real tinyevm-serve process on the disk
-// backend (-backend disk) with a tight checkpoint cadence and the MST
-// state commitment, its memtable flush threshold shrunk so the
+// store (-data-dir) with a tight checkpoint cadence and the MST state
+// commitment, its memtable flush threshold shrunk so the
 // workload churns segment flushes and background compactions. The
 // daemon is SIGKILLed mid-churn — with compactions plausibly in
 // flight — restarted, and must come back with a byte-identical head
@@ -48,9 +48,7 @@ func TestStoreSmokeE2E(t *testing.T) {
 		t.Helper()
 		proc = exec.Command(bin,
 			"-addr", addr, "-provider", "lot", "-data-dir", dataDir,
-			"-backend", "disk",
-			"-checkpoint-interval", fmt.Sprint(checkpointInterval),
-			"-state-commitment", "mst")
+			"-checkpoint-interval", fmt.Sprint(checkpointInterval))
 		// A tiny memtable keeps the disk backend flushing and compacting
 		// throughout the workload, so the SIGKILL lands with segment
 		// rewrites plausibly in flight.

@@ -4,23 +4,22 @@
 // resource-constrained IoT nodes plus an off-chain payment-channel
 // protocol that settles on a main chain.
 //
-// The package is a façade over the internal implementation:
+// The package is a service over the internal implementation:
 //
-//   - System wires a simulated main chain, a TSCH low-power radio
+//   - A Service wires a simulated main chain, a TSCH low-power radio
 //     network and an on-chain template contract together.
-//   - Node is one IoT device: a CC2538-class MCU model with Energest
-//     energy accounting, a hardware crypto engine, a sensor/actuator bus
-//     and a TinyEVM executing standard EVM bytecode extended with the
-//     IoT opcode 0x0C.
+//   - A ServiceNode is one IoT device: a CC2538-class MCU model with
+//     Energest energy accounting, a hardware crypto engine, a
+//     sensor/actuator bus and a TinyEVM executing standard EVM bytecode
+//     extended with the IoT opcode 0x0C.
 //   - Channels are opened by executing the factory template ON the
 //     device, payments are ECDSA-signed off-chain messages with
 //     logical-clock sequence numbers, and final states commit on-chain
 //     into a Merkle-sum tree with a challenge period.
 //
-// A minimal session uses the Service API: operations take a
-// context.Context, are safe for concurrent use, and incoming wire
-// messages dispatch automatically — the counterparty observes payments
-// on its Subscribe stream instead of pumping ReceivePayment:
+// Operations take a context.Context, are safe for concurrent use, and
+// incoming wire messages dispatch automatically — the counterparty
+// observes payments on its Subscribe stream:
 //
 //	svc, lot, _ := tinyevm.NewService("parking-lot")
 //	defer svc.Close()
@@ -51,15 +50,8 @@ import (
 	"tinyevm/internal/types"
 )
 
-// Core nouns, re-exported from the assembled system.
+// Core nouns, re-exported from the internal packages.
 type (
-	// System is a full TinyEVM deployment: chain, radio network,
-	// template and nodes.
-	System = core.System
-	// Config parametrizes NewSystem.
-	Config = core.Config
-	// Node is one TinyEVM IoT node.
-	Node = core.Node
 	// Address is a 20-byte Ethereum-style address.
 	Address = types.Address
 	// Hash is a 32-byte Keccak-256 digest.
@@ -78,8 +70,6 @@ type (
 	EnergyReport = device.EnergyReport
 	// SensorFunc produces a sensor reading for the IoT opcode.
 	SensorFunc = device.SensorFunc
-	// RouteHop is one forwarding step of a multi-hop routed payment.
-	RouteHop = protocol.RouteHop
 	// Secret is a hash-lock preimage for conditional payments.
 	Secret = protocol.Secret
 	// SensorData is a batch of pushed sensor readings.
@@ -90,7 +80,7 @@ type (
 	Receipt = chain.Receipt
 	// AccountProof is a light-client-verifiable statement that one
 	// account is committed under a block's MST state commitment
-	// (Service.StateProof, WithMSTCommitment).
+	// (Service.StateProof).
 	AccountProof = chain.AccountProof
 )
 
@@ -104,22 +94,6 @@ const (
 	ActuatorBarrier   = device.ActuatorBarrier
 	ActuatorLED       = device.ActuatorLED
 )
-
-// NewSystem creates a chain + network + template deployment whose
-// provider node (the payment receiver) has the given name. The returned
-// façade is the original lockstep API: single-threaded, with manual
-// message pumping (AcceptChannel / ReceivePayment / AcceptClose).
-//
-// Deprecated: use NewService, which is concurrency-safe, takes
-// contexts, and dispatches wire messages automatically. NewSystem
-// remains as a thin shim for existing callers and measurement
-// harnesses that need lockstep control over both parties.
-func NewSystem(cfg Config, providerName string) (*System, *Node, error) {
-	return core.NewSystem(cfg, providerName)
-}
-
-// DefaultConfig returns the standard experiment configuration.
-func DefaultConfig() Config { return core.DefaultConfig() }
 
 // PaymentChannelInitCode builds the paper's Listing 2 contract: a
 // payment channel whose constructor stores both parties and a sensor
@@ -157,11 +131,3 @@ func WordToAddress(word []byte) Address { return contracts.WordToAddress(word) }
 // NewSecret draws a random hash-lock preimage and returns it with its
 // lock (keccak-256 of the preimage).
 func NewSecret() (Secret, Hash, error) { return protocol.NewSecret() }
-
-// RoutePayment executes an atomic multi-hop payment along route, ending
-// at receiver: conditional hash-locked payments propagate forward, the
-// receiver's preimage propagates backward claiming each hop.
-// Intermediaries earn hopFee each.
-func RoutePayment(route []RouteHop, receiver *Node, amount, hopFee uint64) (Hash, error) {
-	return protocol.RoutePayment(route, receiver.Party, amount, hopFee)
-}

@@ -4,12 +4,14 @@ import (
 	"testing"
 
 	"tinyevm"
+	"tinyevm/internal/core"
 )
 
-// TestPublicAPIEndToEnd drives the whole system through the public
-// façade only: open, pay, close, commit, challenge window, settle.
+// TestPublicAPIEndToEnd drives the whole system through the lockstep
+// core.System with manual message pumping: open, pay, close, commit,
+// challenge window, settle.
 func TestPublicAPIEndToEnd(t *testing.T) {
-	sys, lot, err := tinyevm.NewSystem(tinyevm.DefaultConfig(), "parking-lot")
+	sys, lot, err := core.NewSystem(core.DefaultConfig(), "parking-lot")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +84,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 }
 
 func TestPublicAPIDeployListing2(t *testing.T) {
-	sys, lot, err := tinyevm.NewSystem(tinyevm.DefaultConfig(), "lot")
+	sys, lot, err := core.NewSystem(core.DefaultConfig(), "lot")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +102,7 @@ func TestPublicAPIDeployListing2(t *testing.T) {
 }
 
 func TestAddNodeNameCollision(t *testing.T) {
-	sys, _, err := tinyevm.NewSystem(tinyevm.DefaultConfig(), "p")
+	sys, _, err := core.NewSystem(core.DefaultConfig(), "p")
 	if err != nil {
 		t.Fatal(err)
 	}
