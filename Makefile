@@ -14,10 +14,12 @@ test:
 	$(GO) test -race ./...
 
 # Fusion-off matrix leg — what the CI "Race tests with fusion disabled"
-# step runs: the EVM and engine suites under pure tier-0 dispatch, so a
-# superinstruction bug cannot hide behind the default-on configuration.
+# step runs: the EVM and engine suites and the root interpreter and chain
+# goldens under pure tier-0 dispatch, so a superinstruction bug cannot
+# hide behind the default-on configuration.
 test-fusion-off:
 	TINYEVM_FUSION=off $(GO) test -race ./internal/evm/... ./internal/engine/...
+	TINYEVM_FUSION=off $(GO) test -race -run 'TestInterpreterDifferentialGolden|TestEngineMatchesSerialGolden' .
 
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -4,7 +4,7 @@
 // events (long-poll) and settle on the simulated main chain.
 //
 //	tinyevm-serve -addr :8545 -provider parking-lot
-//	tinyevm-serve -addr :8545 -engine-workers 8 -challenge 10
+//	tinyevm-serve -addr :8545 -challenge 10 -data-dir ./data
 //
 // With -listen/-peers/-node-key/-validators, N daemons join into one
 // replicated sidechain (see docs/CLUSTER.md):
@@ -48,7 +48,6 @@ func main() {
 		addr      = flag.String("addr", ":8545", "HTTP listen address")
 		provider  = flag.String("provider", "provider", "provider node name (payment receiver)")
 		challenge = flag.Uint64("challenge", 10, "challenge period in blocks")
-		workers   = flag.Int("engine-workers", 0, "parallel-engine workers for block production (0 = serial)")
 		lossRate  = flag.Float64("radio-loss", 0, "per-frame radio loss probability")
 		radioSeed = flag.Int64("radio-seed", 1, "radio loss process seed")
 		dataDir   = flag.String("data-dir", "", "persist the deployment to the disk store at <dir>/store; on restart the previous state (nodes, channels, balances, blocks) is recovered (cluster mode persists the block archive at <dir>/cluster instead)")
@@ -75,8 +74,8 @@ func main() {
 		tinyevm.WithRadioSeed(*radioSeed),
 	}
 	if clusterMode {
-		// The op-log journal and parallel engine are incompatible with
-		// replicated blocks; -data-dir becomes the cluster block archive.
+		// The op-log journal is incompatible with replicated blocks;
+		// -data-dir becomes the cluster block archive.
 		cc := tinyevm.ClusterConfig{
 			Listen:        *listen,
 			Peers:         splitList(*peers),
@@ -98,14 +97,11 @@ func main() {
 			cc.Store = kv
 		}
 		opts = append(opts, tinyevm.WithCluster(cc))
-	} else {
-		opts = append(opts, tinyevm.WithEngineWorkers(*workers))
-		if *dataDir != "" {
-			opts = append(opts,
-				tinyevm.WithDataDir(*dataDir),
-				tinyevm.WithCheckpointInterval(*ckptEvery),
-			)
-		}
+	} else if *dataDir != "" {
+		opts = append(opts,
+			tinyevm.WithDataDir(*dataDir),
+			tinyevm.WithCheckpointInterval(*ckptEvery),
+		)
 	}
 	svc, prov, err := tinyevm.NewService(*provider, opts...)
 	if err != nil {

@@ -2,8 +2,8 @@ package tinyevm_test
 
 // MST state-commitment tests: the chain seals blocks with an
 // incrementally maintained Merkle-sum-tree root. The differential test
-// pins that the serial and the parallel engine reach the same
-// commitment over an identical workload, the rebuild test pins the
+// pins that a single-stripe and a default-striped service reach the
+// same commitment over an identical workload, the rebuild test pins the
 // incremental path against a from-scratch rebuild, the pinning test
 // pins the refusal of stores sealed with the retired full-state digest,
 // and the proof test pins the light-client verification path end to
@@ -21,8 +21,9 @@ import (
 )
 
 // TestMSTCommitmentDifferential feeds the identical deterministic
-// workload to a serial and a parallel-engine service: every externally
-// observable byte, the state commitment included, must agree.
+// workload to a single-stripe and a default-striped service: every
+// externally observable byte, the state commitment included, must
+// agree.
 func TestMSTCommitmentDifferential(t *testing.T) {
 	run := func(opts ...tinyevm.Option) (deploymentState, tinyevm.StateCommitment) {
 		svc, hub, err := tinyevm.NewService("hub", opts...)
@@ -37,11 +38,11 @@ func TestMSTCommitmentDifferential(t *testing.T) {
 		}
 		return captureState(t, svc), sc
 	}
-	serial, serialSC := run()
-	parallel, parallelSC := run(tinyevm.WithEngineWorkers(4))
-	assertSameDeployment(t, serial, parallel)
-	if serialSC != parallelSC {
-		t.Fatalf("state commitment diverged across engines:\n serial   %+v\n parallel %+v", serialSC, parallelSC)
+	serial, serialSC := run(tinyevm.WithShards(1))
+	striped, stripedSC := run()
+	assertSameDeployment(t, serial, striped)
+	if serialSC != stripedSC {
+		t.Fatalf("state commitment diverged across stripe counts:\n one stripe %+v\n default    %+v", serialSC, stripedSC)
 	}
 }
 

@@ -1,7 +1,9 @@
 // Package engine implements TinyEVM's parallel off-chain execution
-// engine: the block-production path that lets one gateway serve many
-// IoT devices concurrently instead of executing their transactions
-// strictly serially.
+// engine: a block producer that executes a batch of many devices'
+// transactions concurrently instead of strictly serially. It is driven
+// by the eval scenarios and benchmarks; the tinyevm service mines with
+// chain.MineBlock, because it seals every on-chain operation in its own
+// block and so never holds a batch.
 //
 // The pipeline per block:
 //
@@ -46,31 +48,24 @@ import (
 	"tinyevm/internal/evm"
 )
 
-// Options configures an Engine. The zero value selects the defaults
-// published in internal/evm/config.go.
+// Scheduling constants: groups are hashed into shards, and each
+// shard's groups execute in order on their own detached state views;
+// a batch smaller than minBatch runs the serial path directly.
+const (
+	shardCount = 16
+	minBatch   = 2
+)
+
+// Options configures an Engine.
 type Options struct {
-	// Workers is the worker-pool size; 0 means one per CPU.
+	// Workers is the worker-pool size; 0 means one per CPU
+	// (runtime.GOMAXPROCS).
 	Workers int
-	// Shards is the number of scheduling shards groups are hashed
-	// into; 0 means evm.DefaultEngineShards.
-	Shards int
-	// MinBatch is the smallest batch worth speculating on; smaller
-	// batches run serially. 0 means evm.DefaultEngineMinBatch.
-	MinBatch int
 }
 
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
-		o.Workers = evm.DefaultEngineWorkers
-		if o.Workers <= 0 {
-			o.Workers = runtime.GOMAXPROCS(0)
-		}
-	}
-	if o.Shards <= 0 {
-		o.Shards = evm.DefaultEngineShards
-	}
-	if o.MinBatch <= 0 {
-		o.MinBatch = evm.DefaultEngineMinBatch
+		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -167,7 +162,7 @@ func (e *Engine) MineBlock() []*chain.Receipt {
 	e.stats.Txs += len(txs)
 	e.mu.Unlock()
 
-	if len(txs) < e.opts.MinBatch || e.opts.Workers <= 1 || e.anyNative(txs) {
+	if len(txs) < minBatch || e.opts.Workers <= 1 || e.anyNative(txs) {
 		return e.runSerial(block, txs)
 	}
 
@@ -204,7 +199,7 @@ func (e *Engine) speculate(block *chain.Block, txs []*chain.Transaction, groups 
 	views := make([]*view, len(groups))
 	results := make([]txResult, len(txs))
 
-	shards := e.opts.Shards
+	shards := shardCount
 	if shards > len(groups) {
 		shards = len(groups)
 	}

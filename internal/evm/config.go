@@ -66,23 +66,6 @@ const (
 	FullCallDepth = 1024
 )
 
-// Parallel off-chain execution engine defaults (consumed by
-// internal/engine). They live here, next to the other machine
-// parameters, so every deployment surface (cmd, eval, benchmarks)
-// shares one source of truth for the engine's shape.
-const (
-	// DefaultEngineWorkers is the worker-pool size; 0 means one worker
-	// per available CPU (runtime.GOMAXPROCS).
-	DefaultEngineWorkers = 0
-	// DefaultEngineShards is the number of shards conflict groups are
-	// partitioned into for scheduling; each shard's groups execute in
-	// order on their own detached state views.
-	DefaultEngineShards = 16
-	// DefaultEngineMinBatch is the smallest batch worth parallelising;
-	// below it the engine runs the serial path directly.
-	DefaultEngineMinBatch = 2
-)
-
 // Config carries the static machine parameters for one EVM instance.
 type Config struct {
 	// Mode selects the opcode surface and resource policy.

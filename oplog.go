@@ -454,8 +454,6 @@ func (s *Service) applyLocked(rec *opRecord) (opResult, error) {
 				return res, err
 			}
 			s.cluster.ProduceBlockLocked()
-		} else if s.eng != nil {
-			s.eng.MineBlock()
 		} else {
 			s.sys.Chain.MineBlock()
 		}

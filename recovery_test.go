@@ -287,9 +287,10 @@ func TestDataDirRefusesLegacyWAL(t *testing.T) {
 	}
 }
 
-// TestServiceRecoveryEngineWorkers recovers a serially-journaled
-// deployment through the parallel engine (and vice versa): block
-// production paths are byte-equivalent, so the store accepts either.
+// TestServiceRecoveryEngineWorkers recovers a journal written under
+// the default lock striping into a single-stripe service: the journal
+// is a linearization, so replay does not depend on the stripe count
+// that executed it.
 func TestServiceRecoveryEngineWorkers(t *testing.T) {
 	kv := store.NewMem()
 	svc, lot, err := tinyevm.NewService("lot", recoveryOpts(tinyevm.WithStore(kv))...)
@@ -301,7 +302,7 @@ func TestServiceRecoveryEngineWorkers(t *testing.T) {
 	svc.Close()
 
 	svc2, _, err := tinyevm.NewService("lot",
-		recoveryOpts(tinyevm.WithStore(kv), tinyevm.WithEngineWorkers(4))...)
+		recoveryOpts(tinyevm.WithStore(kv), tinyevm.WithShards(1))...)
 	if err != nil {
 		t.Fatal(err)
 	}

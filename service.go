@@ -11,10 +11,8 @@ import (
 	"tinyevm/internal/chain"
 	"tinyevm/internal/cluster"
 	"tinyevm/internal/core"
-	"tinyevm/internal/engine"
 	"tinyevm/internal/protocol"
 	"tinyevm/internal/store"
-	"tinyevm/internal/types"
 )
 
 // Service errors.
@@ -44,14 +42,13 @@ var (
 type Option func(*serviceConfig)
 
 type serviceConfig struct {
-	core          core.Config
-	engineWorkers int
-	shards        int
-	clock         func() time.Time
-	kv            store.KVStore
-	dataDir       string
-	ckptInterval  uint64
-	cluster       *ClusterConfig
+	core         core.Config
+	shards       int
+	clock        func() time.Time
+	kv           store.KVStore
+	dataDir      string
+	ckptInterval uint64
+	cluster      *ClusterConfig
 	// optErr is the first option value NewService must refuse.
 	optErr error
 }
@@ -81,20 +78,20 @@ func WithFunds(provider, node uint64) Option {
 	}
 }
 
-// WithEngineWorkers routes the service's on-chain block production
-// through the parallel execution engine with n workers. n <= 1 keeps the
-// serial producer. Template operations (native-contract calls) always
-// execute serially inside the engine; the workers parallelize ordinary
-// EVM traffic batched into the same blocks.
+// WithEngineWorkers accepts only n <= 1, which changes nothing; a
+// larger n makes NewService fail. The service's one block producer is
+// the chain's serial one: every on-chain operation is a single template
+// transaction mined into its own block, so no batch ever forms for a
+// parallel producer to split.
+//
+// Deprecated: the service always produces blocks serially; drop the
+// option.
 func WithEngineWorkers(n int) Option {
-	return func(c *serviceConfig) { c.engineWorkers = n }
-}
-
-// WithFusion enables or disables tier-1 superinstruction execution on
-// the service's chain (default on). Results are byte-identical either
-// way; the knob exists for debugging and benchmark comparisons.
-func WithFusion(on bool) Option {
-	return func(c *serviceConfig) { c.core.DisableFusion = !on }
+	return func(c *serviceConfig) {
+		if n > 1 && c.optErr == nil {
+			c.optErr = fmt.Errorf("tinyevm: WithEngineWorkers(%d): the service produces blocks serially; only n <= 1 is accepted", n)
+		}
+	}
 }
 
 // WithShards sets the number of lock stripes for the pairwise hot path
@@ -202,7 +199,6 @@ type Service struct {
 	// it in write mode, which excludes every sharded operation.
 	mu  sync.RWMutex
 	sys *core.System
-	eng *engine.Engine
 
 	// shards stripe the pairwise hot path by device address; see
 	// shard.go. logMu is the sequencer lock: it guards opSeq and the
@@ -293,9 +289,6 @@ func NewService(providerName string, opts ...Option) (*Service, *ServiceNode, er
 		fraudSeen:    make(map[Address]int),
 		shards:       make([]serviceShard, shardCount(cfg)),
 		ckptInterval: cfg.ckptInterval,
-	}
-	if cfg.engineWorkers > 1 {
-		s.eng = engine.New(sys.Chain, engine.Options{Workers: cfg.engineWorkers})
 	}
 	sys.Chain.OnSeal(func(b *chain.Block, _ []*chain.Receipt) {
 		s.broadcast(Event{Type: EventBlockSealed, Block: b.Number})
@@ -480,8 +473,8 @@ func (s *Service) HeadBlock(ctx context.Context) (uint64, error) {
 	return n, err
 }
 
-// MineBlock produces one block from any pending transactions, through
-// the parallel engine when WithEngineWorkers configured one.
+// MineBlock seals one block from any pending transactions; in cluster
+// mode only the current leader may.
 func (s *Service) MineBlock(ctx context.Context) error {
 	_, err := s.run(ctx, &opRecord{Op: opMineBlock})
 	return err
@@ -642,32 +635,7 @@ func (s *Service) txSender() protocol.TxSender {
 	if s.cluster != nil {
 		return &clusterTxSender{s: s}
 	}
-	if s.eng != nil {
-		return &engineTxSender{c: s.sys.Chain, e: s.eng}
-	}
 	return s.sys.Chain
-}
-
-// engineTxSender adapts the parallel engine to protocol.TxSender:
-// submit, mine one block, return the submitted transaction's receipt.
-type engineTxSender struct {
-	c *chain.Chain
-	e *engine.Engine
-}
-
-func (es *engineTxSender) NonceOf(a types.Address) uint64 { return es.c.NonceOf(a) }
-
-func (es *engineTxSender) SendTransaction(tx *chain.Transaction) (*chain.Receipt, error) {
-	if err := es.e.Submit(tx); err != nil {
-		return nil, err
-	}
-	want := tx.Hash()
-	for _, r := range es.e.MineBlock() {
-		if r.TxHash == want {
-			return r, nil
-		}
-	}
-	return nil, fmt.Errorf("tinyevm: engine dropped transaction %s", want)
 }
 
 // RouteStep names one forwarding hop of a multi-hop payment: the node

@@ -359,13 +359,21 @@ func TestServiceTypedErrors(t *testing.T) {
 	}
 }
 
-// TestServiceEngineWorkers runs a session with the parallel-engine
-// block producer configured and verifies on-chain settlement still
-// works end to end.
+// TestServiceEngineWorkers pins the service's single block producer:
+// a parallel worker count is refused, and a full settlement session run
+// with the accepted serial value seals no block holding more than one
+// transaction. That traffic fact is why the service has no parallel
+// engine: every on-chain operation is one template transaction mined
+// into its own block, so there is never a batch to parallelize. A
+// change that batches on-chain operations into shared blocks reopens
+// that question.
 func TestServiceEngineWorkers(t *testing.T) {
 	ctx := context.Background()
+	if _, _, err := tinyevm.NewService("lot", tinyevm.WithEngineWorkers(4)); err == nil {
+		t.Fatal("WithEngineWorkers(4) accepted")
+	}
 	svc, lot, err := tinyevm.NewService("lot",
-		tinyevm.WithEngineWorkers(4), tinyevm.WithChallengePeriod(3))
+		tinyevm.WithEngineWorkers(1), tinyevm.WithChallengePeriod(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,6 +414,25 @@ func TestServiceEngineWorkers(t *testing.T) {
 	settled, err := svc.TemplateSettled(ctx)
 	if err != nil || !settled {
 		t.Fatalf("settled=%v err=%v", settled, err)
+	}
+
+	head, err := svc.HeadBlock(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	txs := 0
+	for n := uint64(1); n <= head; n++ {
+		b, err := svc.System().Chain.BlockByNumber(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b.TxHashes) > 1 {
+			t.Fatalf("block %d holds %d transactions; the service mines one per block", n, len(b.TxHashes))
+		}
+		txs += len(b.TxHashes)
+	}
+	if txs < 4 {
+		t.Fatalf("%d transactions over %d blocks; want at least deposit, commit, exit and settle", txs, head)
 	}
 }
 
